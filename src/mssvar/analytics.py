@@ -11,6 +11,7 @@ from scipy.special import logsumexp
 
 from .priors import omega_prior_density_at_zero
 from .simulate import companion_matrix
+from .state import BLOCKS
 from .store import DrawStore
 
 
@@ -31,48 +32,51 @@ def normalize_draws(store: DrawStore, policy: str = "sign-diag") -> DrawStore:
     if policy == "none":
         return store
     B = store.block("B")
-    S = B.shape[0]
-    M, N = B.shape[1], B.shape[2]
-    n_zero_diag = 0
-    for i in range(S):
-        for m in range(M):
-            for n in range(N):
-                if B[i, m, n, n] < 0:
-                    B[i, m, n, :] *= -1.0
-                elif B[i, m, n, n] == 0.0:
-                    n_zero_diag += 1
+    diag = np.diagonal(B, axis1=2, axis2=3)  # (S, M, N)
+    n_zero_diag = int(np.count_nonzero(diag == 0.0))
+    B[diag < 0] *= -1.0
     if n_zero_diag:
         warnings.warn(
             f"{n_zero_diag} structural row(s) have a zero diagonal element; sign flip skipped"
         )
-    if policy == "labels" and M > 1:
-        s_all = store.block("s").astype(np.int64)
-        ref = int(np.argmax(store.block("logml")[:, 0]))
-        s_ref = s_all[ref]
-        perms = list(itertools.permutations(range(M)))
-        for i in range(S):
-            best, best_err = None, None
-            for perm in perms:
-                mapped = np.asarray(perm)[s_all[i]]
-                err = int(np.sum(mapped != s_ref))
-                if best_err is None or err < best_err:
-                    best, best_err = np.asarray(perm), err
-            _apply_regime_permutation(store, i, best)
+    if policy == "labels" and store.config.M > 1:
+        _relabel_regimes(store, _closest_relabeling(store))
     return store
 
 
-def _apply_regime_permutation(store: DrawStore, i: int, perm: np.ndarray) -> None:
-    """Relabel regimes of draw i: regime m becomes perm[m]."""
-    if np.array_equal(perm, np.arange(perm.size)):
-        return
-    inv = np.argsort(perm)
-    b = store.blocks
-    b["s"][i] = perm[b["s"][i].astype(np.int64)]
-    b["B"][i] = b["B"][i][inv]
-    b["P"][i] = b["P"][i][np.ix_(inv, inv)]
-    b["pi0"][i] = b["pi0"][i][inv]
-    for name in ("kappa", "omega", "omega_mean", "omega_var"):
-        b[name][i] = b[name][i][:, inv]
+def _closest_relabeling(store: DrawStore) -> np.ndarray:
+    """(S, M) relabeling of each draw towards the reference draw's labels.
+
+    Row i is the first permutation in ``itertools.permutations`` order whose
+    relabeled path of draw i disagrees with the reference path in the fewest
+    periods; regime m of draw i becomes regime ``perm[i, m]``.
+    """
+    s = store.block("s").astype(np.int64)
+    S, M = s.shape[0], store.config.M
+    s_ref = s[int(np.argmax(store.block("logml")[:, 0]))]
+    # agree[i, a, b]: periods in which draw i is in regime a and the reference in b
+    cells = (np.arange(S)[:, None] * M + s) * M + s_ref
+    agree = np.bincount(cells.ravel(), minlength=S * M * M).reshape(S, M, M)
+    perms = np.array(list(itertools.permutations(range(M))))
+    matches = agree[:, np.arange(M), perms].sum(axis=2)  # (S, M!)
+    return perms[np.argmax(matches, axis=1)]
+
+
+def _relabel_regimes(store: DrawStore, perm: np.ndarray) -> None:
+    """Apply a per-draw relabeling to every block with a regime axis or label."""
+    S, M = perm.shape
+    inv = np.argsort(perm, axis=1)
+    for blk in BLOCKS:
+        axes = [ax for ax, dim in enumerate(blk.dims, start=1) if dim == "M"]
+        if not (axes or blk.labels):
+            continue
+        arr = store.blocks[blk.name]
+        if blk.labels:
+            arr[:] = np.take_along_axis(perm, arr.astype(np.int64), axis=1)
+        for ax in axes:
+            shape = [1] * arr.ndim
+            shape[0], shape[ax] = S, M
+            arr[:] = np.take_along_axis(arr, inv.reshape(shape), axis=ax)
 
 
 # ---------------------------------------------------------------------------

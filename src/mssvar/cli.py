@@ -7,7 +7,9 @@ problems, 2 for runtime failures inside an otherwise valid run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -15,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import analytics, forecast
-from .config import ModelConfig, load_config
+from .config import load_config
 from .data import load_dataset
 from .engine import run_chain
 from .store import load_store, persist_store
@@ -99,7 +101,7 @@ def _cmd_simulate(args) -> int:
     if state is None:
         print("could not find a stable prior draw in 1000 tries", file=sys.stderr)
         return 1
-    truth = truth_from_config(config, state)
+    truth = truth_from_config(state)
     dataset, record = generate_dgp(truth, args.periods, rng, p=config.p)
     write_csv(args.out, dataset)
     if args.truth:
@@ -120,17 +122,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _run_one_chain(packed):
-    config_dict, y_raw_list, p, chain_id = packed
-    from .config import ModelConfig
-    from .data import build_design
-
-    config = ModelConfig.from_dict(config_dict)
-    y_raw = np.asarray(y_raw_list)
-    dataset = build_design(y_raw, np.ones((y_raw.shape[0], 1)), p)
-    return run_chain(config, dataset, chain_id=chain_id)
-
-
 def _cmd_estimate(args) -> int:
     config = load_config(args.config)
     overrides = {
@@ -146,16 +137,11 @@ def _cmd_estimate(args) -> int:
         variables=list(config.variables) or None,
         det_columns=list(config.det_columns) or None,
     )
-    if dataset.N != config.N:
-        print(f"data has {dataset.N} series, config declares {config.N}", file=sys.stderr)
-        return 1
-    if config.chains == 1:
-        stores = [run_chain(config, dataset, chain_id=0)]
-    else:
-        y_raw = np.vstack([dataset.presample, dataset.y]).tolist()
-        packed = [(config.to_dict(), y_raw, config.p, c) for c in range(config.chains)]
-        with ProcessPoolExecutor(max_workers=min(config.chains, os.cpu_count() or 1)) as pool:
-            stores = list(pool.map(_run_one_chain, packed))
+    chain = functools.partial(run_chain, config, dataset)
+    # spawned, not forked: the parent may already run BLAS threads
+    with ProcessPoolExecutor(max_workers=min(config.chains, os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        stores = list(pool.map(chain, range(config.chains)))
     for c, store in enumerate(stores):
         persist_store(store, os.path.join(args.out, f"chain{c:02d}"))
     print(f"stored {config.chains} chain(s) under {args.out}")
@@ -270,13 +256,6 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_forecast(args) -> int:
     config = load_config(args.config)
-    dataset = load_dataset(
-        args.data, config.p,
-        transforms=config.transform_map(),
-        variables=list(config.variables) or None,
-        det_columns=list(config.det_columns) or None,
-    )
-    y_raw = np.vstack([dataset.presample, dataset.y])
     models = {"main": config}
     for spec in args.model:
         if "=" not in spec:
@@ -284,10 +263,20 @@ def _cmd_forecast(args) -> int:
             return 1
         name, path = spec.split("=", 1)
         models[name] = load_config(path)
+    for name, cfg in models.items():
+        if cfg.det_columns:
+            print(f"model {name!r} declares det_columns, but predictive simulation is "
+                  "intercept-only", file=sys.stderr)
+            return 1
+    dataset = load_dataset(
+        args.data, config.p,
+        transforms=config.transform_map(),
+        variables=list(config.variables) or None,
+    )
+    y_raw = np.vstack([dataset.presample, dataset.y])
     origins = [int(v) for v in args.origins.split(",") if v.strip()]
     horizons = [int(v) for v in args.horizons.split(",") if v.strip()]
-    report = forecast.rolling_evaluation(models, y_raw, config.p, origins, horizons,
-                                         seed=config.seed)
+    report = forecast.rolling_evaluation(models, y_raw, origins, horizons, seed=config.seed)
     report.write_csv(args.out)
     for horizon in horizons:
         scores = report.mean_log_score(horizon)

@@ -5,10 +5,10 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 from .data import ColumnTransform
-from .patterns import PatternSet, build_pattern_set
+from .patterns import PatternSet, build_pattern_set, parse_pattern
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,9 @@ class ModelConfig:
             object.__setattr__(self, "patterns", build_pattern_set(None, self.N))
         if self.patterns.N != self.N:
             raise ValueError("pattern set does not match N")
-        for nm in ("nu_B", "nu_gamma_B", "s_s_B", "nu_s_B", "nu_A",
-                   "nu_gamma_A", "s_s_A", "nu_s_A", "omega_shape", "omega_scale"):
-            if getattr(self, nm) <= 0:
-                raise ValueError(f"{nm} must be positive")
+        for f in fields(self):
+            if type(f.default) is float and f.name != "d_m" and getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
         if self.d_m < 0:
             raise ValueError("d_m must be non-negative")
 
@@ -79,33 +78,10 @@ class ModelConfig:
         return replace(self, **kw)
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "p": self.p,
-            "M": self.M,
-            "d_dim": self.d_dim,
-            "patterns": [[pat.spec for pat in eq] for eq in self.patterns.equations],
-            "nu_B": self.nu_B,
-            "nu_gamma_B": self.nu_gamma_B,
-            "s_s_B": self.s_s_B,
-            "nu_s_B": self.nu_s_B,
-            "nu_A": self.nu_A,
-            "nu_gamma_A": self.nu_gamma_A,
-            "s_s_A": self.s_s_A,
-            "nu_s_A": self.nu_s_A,
-            "d_m": self.d_m,
-            "omega_shape": self.omega_shape,
-            "omega_scale": self.omega_scale,
-            "fix_omega_at_zero": self.fix_omega_at_zero,
-            "draws": self.draws,
-            "burnin": self.burnin,
-            "thin": self.thin,
-            "seed": self.seed,
-            "chains": self.chains,
-            "variables": list(self.variables),
-            "det_columns": list(self.det_columns),
-            "transforms": [list(t) for t in self.transforms],
-        }
+        """JSON-ready fields: tuples become lists, patterns their spec strings."""
+        out = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        out["patterns"] = [[pat.spec for pat in eq] for eq in self.patterns.equations]
+        return out
 
     def digest(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -115,32 +91,36 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
         pats = d.pop("patterns", None)
-        pattern_set = None
         if pats is not None:
-            pattern_set = PatternSet(
-                equations=tuple(
-                    tuple(_parse(p) for p in eq) for eq in pats
-                )
+            d["patterns"] = PatternSet(
+                equations=tuple(tuple(parse_pattern(p) for p in eq) for eq in pats)
             )
-        d["variables"] = tuple(d.get("variables", ()))
-        d["det_columns"] = tuple(d.get("det_columns", ()))
-        d["transforms"] = tuple(tuple(t) for t in d.get("transforms", ()))
-        return cls(patterns=pattern_set, **d)
+        for f in fields(cls):
+            if isinstance(f.default, tuple) and f.name in d:
+                d[f.name] = _tupled(d[f.name])
+        return cls(**d)
 
 
-def _parse(spec: str):
-    from .patterns import parse_pattern
-
-    return parse_pattern(spec)
+def _plain(val):
+    return [_plain(v) for v in val] if isinstance(val, tuple) else val
 
 
-_INT_KEYS = {"lags", "regimes", "draws", "burnin", "thin", "seed", "chains"}
-_FLOAT_KEYS = {
-    "nu_B", "nu_gamma_B", "s_s_B", "nu_s_B",
-    "nu_A", "nu_gamma_A", "s_s_A", "nu_s_A",
-    "d_m", "omega_shape", "omega_scale",
+def _tupled(val):
+    return tuple(_tupled(v) for v in val) if isinstance(val, (list, tuple)) else val
+
+
+_PARSERS = {
+    bool: lambda val: val.strip().lower() in ("1", "true", "yes"),
+    int: int,
+    float: float,
 }
-_BOOL_KEYS = {"fix_omega_at_zero"}
+# [model] sets N, p, M and d_dim; every other field with a number or flag
+# default is a [priors] or [chain] key, read as the type of its default
+_SECTION_KEYS = {
+    f.name: _PARSERS[type(f.default)]
+    for f in fields(ModelConfig)
+    if type(f.default) in _PARSERS and f.name not in ("p", "M", "d_dim")
+}
 
 
 def parse_config(text: str) -> ModelConfig:
@@ -175,15 +155,9 @@ def parse_config(text: str) -> ModelConfig:
         if not cp.has_section(section):
             continue
         for key, val in cp[section].items():
-            if key in _FLOAT_KEYS:
-                kw[key] = float(val)
-            elif key in _INT_KEYS:
-                name = {"lags": "p", "regimes": "M"}.get(key, key)
-                kw[name] = int(val)
-            elif key in _BOOL_KEYS:
-                kw[key] = val.strip().lower() in ("1", "true", "yes")
-            else:
+            if key not in _SECTION_KEYS:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
+            kw[key] = _SECTION_KEYS[key](val)
 
     if cp.has_section("transforms"):
         trs = []
@@ -212,33 +186,3 @@ def parse_config(text: str) -> ModelConfig:
 def load_config(path: str) -> ModelConfig:
     with open(path) as fh:
         return parse_config(fh.read())
-
-
-def format_config(config: ModelConfig) -> str:
-    """Render a config back to the file format (round-trips parse_config)."""
-    lines = ["[model]"]
-    lines.append("variables = " + ", ".join(config.variables or tuple(f"y{i+1}" for i in range(config.N))))
-    lines.append(f"lags = {config.p}")
-    lines.append(f"regimes = {config.M}")
-    if config.det_columns:
-        lines.append("det_columns = " + ", ".join(config.det_columns))
-    lines.append("")
-    lines.append("[priors]")
-    for key in sorted(_FLOAT_KEYS):
-        lines.append(f"{key} = {getattr(config, key):g}")
-    if config.fix_omega_at_zero:
-        lines.append("fix_omega_at_zero = true")
-    lines.append("")
-    lines.append("[chain]")
-    for key in ("draws", "burnin", "thin", "seed", "chains"):
-        lines.append(f"{key} = {getattr(config, key)}")
-    if config.transforms:
-        lines.append("")
-        lines.append("[transforms]")
-        for name, tok in config.transforms:
-            lines.append(f"{name} = {tok}")
-    lines.append("")
-    lines.append("[patterns]")
-    for n, eq in enumerate(config.patterns.equations):
-        lines.append(f"eq{n + 1} = " + ", ".join(pat.spec for pat in eq))
-    return "\n".join(lines) + "\n"

@@ -205,6 +205,11 @@ def run_chain(
     progress: bool = False,
 ) -> DrawStore:
     """Burn in, then record every ``thin``-th sweep into a draw store."""
+    if (dataset.N, dataset.p, dataset.d_dim) != (config.N, config.p, config.d_dim):
+        raise ValueError(
+            f"dataset has N={dataset.N}, p={dataset.p}, d_dim={dataset.d_dim} but the config "
+            f"declares N={config.N}, p={config.p}, d_dim={config.d_dim}"
+        )
     rng = chain_rng(config.seed, chain_id)
     state = initialize_state(config, dataset, rng)
     store = allocate_store(config, dataset.T, config.draws, chain_id=chain_id)

@@ -234,7 +234,6 @@ class ForecastReport:
 def rolling_evaluation(
     models: dict[str, ModelConfig],
     y_raw: np.ndarray,
-    p: int,
     origins: list[int],
     horizons: list[int],
     *,
@@ -244,6 +243,7 @@ def rolling_evaluation(
 
     ``origins`` index rows of ``y_raw``; data up to and including the origin
     row is the estimation sample, and forecasts target origin + horizon.
+    Each model's design uses its own lag order and an intercept only.
     """
     from .data import build_design
     from .engine import run_chain
@@ -256,7 +256,7 @@ def rolling_evaluation(
             raise ValueError(f"origin {origin} leaves no room for horizon {hmax}")
         sample = y_raw[: origin + 1]
         for name, config in models.items():
-            dataset = build_design(sample, np.ones((sample.shape[0], 1)), p)
+            dataset = build_design(sample, np.ones((sample.shape[0], 1)), config.p)
             store = run_chain(config.with_updates(seed=seed), dataset)
             for horizon in horizons:
                 realized = y_raw[origin + horizon]

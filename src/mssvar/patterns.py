@@ -3,7 +3,8 @@
 A pattern is a string over ``{*, 0}``: ``*`` marks a free entry, ``0`` an
 exclusion restriction.  Each pattern maps to a selection matrix ``V``
 (``r x N``, one unit entry per row, at most one per column) so that a free
-coefficient vector ``b`` of length ``r`` expands to a full row ``b @ V``.
+coefficient vector ``b`` of length ``r`` expands to a full row ``b @ V``;
+``Pattern.free_idx`` holds the columns of those unit entries.
 """
 
 from __future__ import annotations
@@ -33,13 +34,6 @@ class Pattern:
     @property
     def free_idx(self) -> np.ndarray:
         return np.flatnonzero(np.asarray(self.mask))
-
-    @property
-    def selection(self) -> np.ndarray:
-        """Dense r x N selection matrix V."""
-        V = np.zeros((self.r, self.N))
-        V[np.arange(self.r), self.free_idx] = 1.0
-        return V
 
     @property
     def spec(self) -> str:
@@ -92,11 +86,6 @@ class PatternSet:
     @property
     def tvi_equations(self) -> tuple[int, ...]:
         return tuple(n for n in range(self.N) if self.K(n) > 1)
-
-    def restricted_share(self, n: int, col: int) -> float:
-        """Prior probability that entry (n, col) is restricted to zero."""
-        pats = self.equations[n]
-        return sum(1 for p in pats if not p.mask[col]) / len(pats)
 
 
 def build_pattern_set(

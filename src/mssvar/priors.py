@@ -36,13 +36,6 @@ def sample_gamma(shape: float, scale: float, rng: np.random.Generator, size=None
     return rng.gamma(shape, scale, size=size)
 
 
-def sample_dirichlet(alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha <= 0):
-        raise ValueError("Dirichlet concentrations must be positive")
-    return rng.dirichlet(alpha)
-
-
 def sample_truncated_normal(
     mean: float, var: float, lo: float, hi: float, rng: np.random.Generator
 ) -> float:
@@ -134,14 +127,7 @@ def truncated_normal_log_density(x, mean: float, var: float, lo: float, hi: floa
 
 
 # ---------------------------------------------------------------------------
-# restriction-mixture weights and the loading prior at the origin
-
-
-def spike_slab_weights(K: int, K_R: int) -> tuple[float, float]:
-    """Marginal prior (slab, spike) weights of an entry restricted by K_R of K patterns."""
-    if K < 1 or not 0 <= K_R <= K:
-        raise ValueError("need K >= 1 and 0 <= K_R <= K")
-    return (K - K_R) / K, K_R / K
+# the loading prior at the origin
 
 
 def omega_prior_density_at_zero(shape: float, scale: float) -> float:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
 from .data import Dataset, build_design
 
 
@@ -142,7 +141,7 @@ def generate_dgp(
     return dataset, record
 
 
-def truth_from_config(config: ModelConfig, state) -> DgpTruth:
+def truth_from_config(state) -> DgpTruth:
     """Package a parameter state as a simulation truth."""
     return DgpTruth(
         A=state.A.copy(),

@@ -1,8 +1,10 @@
-"""Complete parameter snapshot for the Gibbs sampler."""
+"""Complete parameter snapshot for the Gibbs sampler, and the table of its
+stored blocks."""
 
 from __future__ import annotations
 
 import copy
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -11,25 +13,79 @@ from .config import ModelConfig
 from .priors import ShrinkageChain
 
 
+@dataclass(frozen=True)
+class Block:
+    """One per-draw block of the sampler state.
+
+    ``attr`` is the (possibly dotted) attribute path on ``ParameterState``.
+    ``dims`` are symbols over N, M, J (coefficients per equation) and T; an
+    empty ``dims`` is a scalar, stored as a one-element row.  Every ``M``
+    axis indexes regimes, and ``labels`` marks values that are regime labels.
+    """
+
+    name: str
+    attr: str
+    dims: tuple[str, ...]
+    labels: bool = False
+
+    def shape(self, sizes: dict[str, int]) -> tuple[int, ...]:
+        return tuple(sizes[d] for d in self.dims)
+
+
+# the single definition of what a stored draw holds, in store order
+BLOCKS = (
+    Block("A", "A", ("N", "J")),
+    Block("B", "B", ("M", "N", "N")),
+    Block("kappa", "kappa", ("N", "M")),  # pattern indices, zero for fixed equations
+    Block("s", "s", ("T",), labels=True),
+    Block("P", "P", ("M", "M")),
+    Block("pi0", "pi0", ("M",)),
+    Block("h", "h", ("N", "T")),
+    Block("omega", "omega", ("N", "M")),
+    Block("rho", "rho", ("N",)),
+    Block("sigma2_omega", "sigma2_omega", ("N",)),
+    Block("gamma_B", "shrink_B.gamma", ("N",)),
+    Block("s_B", "shrink_B.s", ("N",)),
+    Block("s_gamma_B", "shrink_B.s_gamma", ()),
+    Block("gamma_A", "shrink_A.gamma", ("N",)),
+    Block("s_A", "shrink_A.s", ("N",)),
+    Block("s_gamma_A", "shrink_A.s_gamma", ()),
+    Block("omega_mean", "omega_mean", ("N", "M")),  # conditional posterior moments
+    Block("omega_var", "omega_var", ("N", "M")),    # of the loadings at the draw
+    Block("logml", "logml", ()),
+)
+
+# validated like the stored blocks but not recorded
+_UNSTORED = (Block("indicators", "indicators", ("N", "T")),)  # mixture component labels
+
+
+def block_sizes(config: ModelConfig, T: int) -> dict[str, int]:
+    """Values of the dimension symbols used in ``Block.dims``."""
+    return {"N": config.N, "M": config.M, "J": config.n_coefficients, "T": T}
+
+
 @dataclass
 class ParameterState:
-    """One full set of model unknowns, latent paths included."""
+    """One full set of model unknowns, latent paths included.
 
-    A: np.ndarray                 # (N, J)
-    B: np.ndarray                 # (M, N, N)
-    kappa: np.ndarray             # (N, M) pattern indices, zero for fixed equations
-    s: np.ndarray                 # (T,) regime path
-    P: np.ndarray                 # (M, M)
-    pi0: np.ndarray               # (M,)
-    h: np.ndarray                 # (N, T)
-    omega: np.ndarray             # (N, M)
-    rho: np.ndarray               # (N,)
-    sigma2_omega: np.ndarray      # (N,)
-    indicators: np.ndarray        # (N, T) mixture component labels
+    Field shapes are given by ``BLOCKS`` (stored) and ``_UNSTORED``.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    kappa: np.ndarray
+    s: np.ndarray
+    P: np.ndarray
+    pi0: np.ndarray
+    h: np.ndarray
+    omega: np.ndarray
+    rho: np.ndarray
+    sigma2_omega: np.ndarray
+    indicators: np.ndarray
     shrink_B: ShrinkageChain
     shrink_A: ShrinkageChain
-    omega_mean: np.ndarray        # (N, M) conditional posterior means at the draw
-    omega_var: np.ndarray         # (N, M) conditional posterior variances
+    omega_mean: np.ndarray
+    omega_var: np.ndarray
     logml: float = 0.0
 
     def copy(self) -> "ParameterState":
@@ -42,29 +98,17 @@ class ParameterState:
 
     def validate(self, config: ModelConfig, T: int | None = None) -> None:
         """Raise if any structural invariant is broken."""
-        N, M, J = config.N, config.M, config.n_coefficients
+        N, M = config.N, config.M
         if T is None:
             T = self.s.shape[0]
-        checks = {
-            "A": (self.A, (N, J)),
-            "B": (self.B, (M, N, N)),
-            "kappa": (self.kappa, (N, M)),
-            "s": (self.s, (T,)),
-            "P": (self.P, (M, M)),
-            "pi0": (self.pi0, (M,)),
-            "h": (self.h, (N, T)),
-            "omega": (self.omega, (N, M)),
-            "rho": (self.rho, (N,)),
-            "sigma2_omega": (self.sigma2_omega, (N,)),
-            "indicators": (self.indicators, (N, T)),
-            "omega_mean": (self.omega_mean, (N, M)),
-            "omega_var": (self.omega_var, (N, M)),
-        }
-        for name, (arr, shape) in checks.items():
+        sizes = block_sizes(config, T)
+        for blk in BLOCKS + _UNSTORED:
+            arr = np.asarray(operator.attrgetter(blk.attr)(self))
+            shape = blk.shape(sizes)
             if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+                raise ValueError(f"{blk.name} has shape {arr.shape}, expected {shape}")
             if np.issubdtype(arr.dtype, np.floating) and not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
+                raise ValueError(f"{blk.name} contains non-finite values")
         if np.any(np.abs(self.P.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("transition matrix rows must sum to one")
         if np.any(self.P < 0) or np.any(self.pi0 < 0):

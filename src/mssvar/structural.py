@@ -14,8 +14,6 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg, special
 
-from .patterns import Pattern
-
 _CHOL_JITTER = 1e-10
 
 
@@ -32,11 +30,6 @@ def row_cofactors(B: np.ndarray, n: int) -> np.ndarray:
     dets = np.linalg.det(minors)
     signs = (-1.0) ** (n + np.arange(N))
     return signs * dets
-
-
-def cofactor_vector(B: np.ndarray, n: int, pattern: Pattern) -> np.ndarray:
-    """Cofactors of row ``n`` restricted to the pattern's free columns."""
-    return row_cofactors(B, n)[pattern.free_idx]
 
 
 def row_posterior_precision(

@@ -26,6 +26,7 @@ from mssvar.engine import run_chain
 from mssvar.geweke import geweke_joint_test
 from mssvar.patterns import build_pattern_set
 from mssvar.priors import ShrinkageChain, omega_prior_density_at_zero
+from mssvar.selfcheck import enumerate_regime_marginals, quadrature_log_marginal
 from mssvar.simulate import DgpTruth, generate_dgp, simulate_observations
 from mssvar.state import ParameterState
 from mssvar.store import allocate_store, record_draw
@@ -34,51 +35,6 @@ from mssvar.structural import pattern_log_marginal
 
 # ---------------------------------------------------------------------------
 # 1. collapsed pattern step vs nested Gauss-Legendre quadrature
-
-# 64 nodes per axis: doubling to 128 moves no case by more than 3e-14
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def _quadrature_log_marginal(S, w, gamma, T_m):
-    """Direct numerical integral of the collapsed row density.
-
-    Rotates into the eigenbasis of S, exploits the b -> -b symmetry by
-    doubling the integral over the half-space where the cofactor inner
-    product is positive (the integrand is smooth there), and rescales by
-    the candidate value so the integral is O(1).  The coordinate with the
-    largest cofactor weight is integrated innermost, from the cut where the
-    inner product vanishes to the box edge; the others span the box on a
-    tensor Gauss-Legendre grid.
-    """
-    r = S.shape[0]
-    lam, Q = np.linalg.eigh(S)
-    a = Q.T @ w
-    j = int(np.argmax(np.abs(a)))
-    rest = [i for i in range(r) if i != j]
-    L = (np.sqrt(T_m) + 7.0) / np.sqrt(lam)
-    c = pattern_log_marginal(S, w, gamma, T_m)
-    base = -0.5 * r * np.log(2.0 * np.pi * gamma)
-
-    outer = np.array(list(itertools.product(*[L[i] * _GL_NODES for i in rest])), dtype=float)
-    outer_w = np.prod(
-        np.array(list(itertools.product(*[L[i] * _GL_WEIGHTS for i in rest])), dtype=float),
-        axis=1,
-    )
-    dot_rest = outer @ a[rest]
-    cut = -dot_rest / a[j]
-    if a[j] > 0:
-        lo, hi = np.maximum(-L[j], cut), np.full_like(cut, L[j])
-    else:
-        lo, hi = np.full_like(cut, -L[j]), np.minimum(L[j], cut)
-    keep = lo < hi
-    outer, outer_w, dot_rest, lo, hi = (x[keep] for x in (outer, outer_w, dot_rest, lo, hi))
-    half = 0.5 * (hi - lo)
-    v = 0.5 * (hi + lo)[:, None] + half[:, None] * _GL_NODES
-    logg = base - c - 0.5 * ((outer ** 2) @ lam[rest])[:, None] - 0.5 * lam[j] * v ** 2
-    if T_m > 0:
-        logg += T_m * np.log(np.abs(dot_rest[:, None] + a[j] * v))
-    val = np.sum(outer_w[:, None] * half[:, None] * _GL_WEIGHTS * np.exp(logg))
-    return float(np.log(2.0 * val) + c)
 
 
 def test_criterion_01_pattern_marginal_matches_quadrature():
@@ -94,7 +50,7 @@ def test_criterion_01_pattern_marginal_matches_quadrature():
             T_m = int(rng.integers(0, 21))
             err = abs(
                 pattern_log_marginal(S, w, gamma, T_m)
-                - _quadrature_log_marginal(S, w, gamma, T_m)
+                - quadrature_log_marginal(S, w, gamma, T_m)
             )
             worst = max(worst, err)
     assert worst < 1e-6
@@ -105,32 +61,6 @@ def test_criterion_01_pattern_marginal_matches_quadrature():
 # 2. regime filter and sampler vs exhaustive path enumeration
 
 
-def _enumerate_marginals(loglik, P, pi0):
-    """Exact filtered/smoothed marginals and total likelihood at tiny T."""
-    T, M = loglik.shape
-    lik = np.exp(loglik)
-    smoothed = np.zeros((T, M))
-    filtered = np.zeros((T, M))
-    total = 0.0
-    for path in itertools.product(range(M), repeat=T):
-        pr = pi0[path[0]] * lik[0, path[0]]
-        for t in range(1, T):
-            pr *= P[path[t - 1], path[t]] * lik[t, path[t]]
-        total += pr
-        for t, m in enumerate(path):
-            smoothed[t, m] += pr
-    smoothed /= total
-    for t in range(T):
-        sub = np.zeros(M)
-        for path in itertools.product(range(M), repeat=t + 1):
-            pr = pi0[path[0]] * lik[0, path[0]]
-            for u in range(1, t + 1):
-                pr *= P[path[u - 1], path[u]] * lik[u, path[u]]
-            sub[path[t]] += pr
-        filtered[t] = sub / sub.sum()
-    return filtered, smoothed, np.log(total)
-
-
 def test_criterion_02_ffbs_matches_enumeration():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
@@ -139,7 +69,7 @@ def test_criterion_02_ffbs_matches_enumeration():
     P = np.array([[0.9, 0.1], [0.2, 0.8]])
     pi0 = np.array([0.6, 0.4])
 
-    filt_exact, smooth_exact, logml_exact = _enumerate_marginals(loglik, P, pi0)
+    filt_exact, smooth_exact, logml_exact = enumerate_regime_marginals(loglik, P, pi0)
     filtered, logml = regimes.forward_filter(loglik, P, pi0)
     assert np.abs(filtered - filt_exact).max() < 1e-10
     assert abs(logml - logml_exact) < 1e-10

@@ -85,8 +85,25 @@ def test_estimate_is_deterministic(workspace, tmp_path):
         assert np.array_equal(outs[0].blocks[name], outs[1].blocks[name]), name
 
 
-def test_multichain_matches_single_chain_zero(workspace, tmp_path):
+def _with_trend(workspace, tmp_path):
+    """The workspace data plus a trend column, and a config that uses it."""
+    _, _, data, _ = workspace
+    rows = list(csv.reader(open(data)))
+    trended = tmp_path / "trend.csv"
+    with open(trended, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [rows[0] + ["trend"]] + [row + [repr(0.01 * i)] for i, row in enumerate(rows[1:])]
+        )
+    cfg = tmp_path / "trend.cfg"
+    cfg.write_text(CONFIG.replace("regimes = 2", "regimes = 2\ndet_columns = trend"))
+    return cfg, trended
+
+
+@pytest.mark.parametrize("design", ["intercept", "trend"])
+def test_multichain_matches_single_chain_zero(workspace, tmp_path, design):
     _, cfg, data, _ = workspace
+    if design == "trend":
+        cfg, data = _with_trend(workspace, tmp_path)
     single = tmp_path / "single"
     multi = tmp_path / "multi"
     base = ["--config", str(cfg), "--data", str(data), "--draws", "4", "--burnin", "1"]
@@ -94,6 +111,7 @@ def test_multichain_matches_single_chain_zero(workspace, tmp_path):
     assert main(["estimate", *base, "--out", str(multi), "--chains", "2"]) == 0
     a = load_store(str(single / "chain00"))
     b = load_store(str(multi / "chain00"))
+    assert a.block("A").shape[2] == (4 if design == "trend" else 3)  # y1, y2, 1[, trend]
     for name in a.blocks:
         assert np.array_equal(a.blocks[name], b.blocks[name]), name
     assert os.path.isdir(multi / "chain01")
@@ -162,6 +180,26 @@ def test_forecast_report(workspace, tmp_path):
     rows = list(csv.reader(open(out)))
     assert rows[0][:4] == ["model", "origin", "horizon", "log_score"]
     assert len(rows) == 1 + 4  # 2 origins x 2 horizons, one model
+
+
+def test_forecast_competitor_uses_its_own_lags(workspace, tmp_path):
+    _, cfg, data, _ = workspace
+    l2 = tmp_path / "l2.cfg"
+    l2.write_text(CONFIG.replace("lags = 1", "lags = 2"))
+    out = tmp_path / "report.csv"
+    rc = main(["forecast", "--config", str(cfg), "--data", str(data), "--origins", "50",
+               "--model", f"l2={l2}", "--out", str(out)])
+    assert rc == 0
+    rows = list(csv.reader(open(out)))
+    assert sorted(r[0] for r in rows[1:]) == ["l2", "main"]
+
+
+def test_forecast_rejects_deterministic_terms(workspace, tmp_path, capsys):
+    cfg, data = _with_trend(workspace, tmp_path)
+    rc = main(["forecast", "--config", str(cfg), "--data", str(data), "--origins", "50",
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert "intercept-only" in capsys.readouterr().err
 
 
 def test_exit_codes():

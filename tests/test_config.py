@@ -1,6 +1,6 @@
 import pytest
 
-from mssvar.config import ModelConfig, format_config, parse_config
+from mssvar.config import ModelConfig, parse_config
 from mssvar.patterns import build_pattern_set
 
 SAMPLE = """
@@ -64,13 +64,6 @@ def test_parse_config_full():
     assert tm["gdp"].kind == "logdiff" and tm["gdp"].scale100
 
 
-def test_format_config_round_trips():
-    c = parse_config(SAMPLE)
-    again = parse_config(format_config(c))
-    assert again == c
-    assert again.digest() == c.digest()
-
-
 def test_digest_sensitivity():
     a = ModelConfig(N=2, seed=1)
     b = ModelConfig(N=2, seed=2)
@@ -83,11 +76,24 @@ def test_dict_round_trip():
     assert ModelConfig.from_dict(c.to_dict()) == c
 
 
+def test_digests_are_pinned():
+    # a digest names the config in every store manifest; stores written
+    # earlier must keep loading under the same config
+    assert ModelConfig(N=2, seed=1).digest() == (
+        "a8bb857e232d6aed099ccde086493159c4315d497401e1d92de029b2244ff0d9"
+    )
+    assert parse_config(SAMPLE).digest() == (
+        "b45d127a8ee8b234e72efa458f657a300b05b19f2b6771ef44a7b48df7d7f357"
+    )
+
+
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError, match="variables"):
         parse_config("[chain]\ndraws = 10\n")
     with pytest.raises(ValueError, match="unknown key"):
         parse_config("[model]\nvariables = a\n\n[priors]\nbogus = 1\n")
+    with pytest.raises(ValueError, match="unknown key"):  # lags belongs to [model]
+        parse_config("[model]\nvariables = a\n\n[chain]\nlags = 2\n")
     with pytest.raises(ValueError, match="eq<i>"):
         parse_config("[model]\nvariables = a\n\n[patterns]\nrow1 = *\n")
     with pytest.raises(ValueError, match="unknown variable"):

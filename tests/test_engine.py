@@ -155,6 +155,18 @@ def test_run_chain_distinct_chains_differ():
     assert not np.array_equal(a.blocks["A"], b.blocks["A"])
 
 
+def test_run_chain_rejects_dataset_config_mismatch():
+    rng = np.random.default_rng(73)
+    config = _small_config()
+    for ds in (_dataset(rng, p=2), _dataset(rng, N=3),
+               build_design(rng.normal(size=(41, 2)), np.ones((41, 2)), 1)):
+        with pytest.raises(ValueError) as exc:
+            run_chain(config, ds)
+        msg = str(exc.value)
+        assert f"dataset has N={ds.N}, p={ds.p}, d_dim={ds.d_dim}" in msg
+        assert "config declares N=2, p=1, d_dim=1" in msg
+
+
 def test_validate_rejects_broken_states():
     rng = np.random.default_rng(80)
     ds = _dataset(rng)

@@ -240,11 +240,11 @@ def test_rolling_evaluation_end_to_end():
         "a": ModelConfig(N=2, p=1, M=1, draws=8, burnin=3),
         "b": ModelConfig(N=2, p=1, M=1, draws=8, burnin=3, fix_omega_at_zero=True),
     }
-    report = rolling_evaluation(models, y_raw, 1, origins=[40, 42], horizons=[1, 2], seed=2)
+    report = rolling_evaluation(models, y_raw, origins=[40, 42], horizons=[1, 2], seed=2)
     assert len(report.rows) == 8
     assert set(report.models()) == {"a", "b"}
     for r in report.rows:
         assert np.isfinite(r.log_score)
         assert_allclose(r.realized, y_raw[r.origin + r.horizon])
     with pytest.raises(ValueError, match="origin"):
-        rolling_evaluation(models, y_raw, 1, origins=[45], horizons=[1], seed=2)
+        rolling_evaluation(models, y_raw, origins=[45], horizons=[1], seed=2)

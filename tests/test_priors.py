@@ -16,12 +16,10 @@ from mssvar.priors import (
     gig_log_density,
     ig2_log_density,
     omega_prior_density_at_zero,
-    sample_dirichlet,
     sample_gamma,
     sample_gig,
     sample_ig2,
     sample_truncated_normal,
-    spike_slab_weights,
     truncated_normal_log_density,
     update_shrinkage_chain,
 )
@@ -74,7 +72,7 @@ def test_ig2_rejects_bad_parameters():
 
 
 # ---------------------------------------------------------------------------
-# gamma, dirichlet, truncated normal
+# gamma, truncated normal
 
 
 def test_gamma_mean_and_density():
@@ -91,15 +89,6 @@ def test_gamma_mean_and_density():
         stats.gamma.logpdf(grid, 2.5, scale=1.7),
         rtol=1e-12,
     )
-
-
-def test_dirichlet_mean():
-    rng = np.random.default_rng(2)
-    draws = np.array([sample_dirichlet(np.array([1.0, 1.0]), rng) for _ in range(20_000)])
-    se = draws[:, 0].std(ddof=1) / np.sqrt(draws.shape[0])
-    assert abs(draws[:, 0].mean() - 0.5) < 3.0 * se
-    with pytest.raises(ValueError):
-        sample_dirichlet(np.array([1.0, 0.0]), rng)
 
 
 def test_truncated_normal_wide_window_is_normal():
@@ -186,16 +175,7 @@ def test_gig_edge_branches():
 
 
 # ---------------------------------------------------------------------------
-# restriction-mixture weights and the loading prior at zero
-
-
-def test_spike_slab_weights():
-    assert spike_slab_weights(4, 2) == (0.5, 0.5)
-    assert spike_slab_weights(4, 0) == (1.0, 0.0)
-    assert spike_slab_weights(2, 1) == (0.5, 0.5)
-    assert spike_slab_weights(4, 1) == (0.75, 0.25)
-    with pytest.raises(ValueError):
-        spike_slab_weights(2, 3)
+# the loading prior at zero
 
 
 def test_omega_prior_at_zero_closed_form():

@@ -10,9 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
-from mssvar.patterns import parse_pattern
 from mssvar.structural import (
-    cofactor_vector,
     draw_row_coefficients,
     draw_tvi_indicator,
     pattern_log_marginal,
@@ -67,13 +65,6 @@ def test_cofactors_reconstruct_determinant():
 def test_cofactors_vanish_when_other_rows_collide():
     B = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [4.0, 5.0, 6.0]])
     assert_allclose(row_cofactors(B, 0), np.zeros(3), atol=1e-14)
-
-
-def test_cofactor_vector_respects_pattern():
-    B = np.arange(1.0, 10.0).reshape(3, 3) + np.eye(3)
-    pat = parse_pattern("*0*")
-    full = row_cofactors(B, 1)
-    assert_allclose(cofactor_vector(B, 1, pat), full[[0, 2]])
 
 
 def test_scalar_system_cofactor():
