@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .priors import omega_prior_density_at_zero
-from .simulate import companion_matrix
+from .simulate import lag_recursion
 from .state import BLOCKS
 from .store import DrawStore
 
@@ -133,27 +133,25 @@ def impulse_responses(
     normalize_variable: int | None = None,
     p: int | None = None,
 ) -> np.ndarray:
-    """(horizon+1, N) responses of all variables to one structural shock.
+    """(..., horizon+1, N) responses of all variables to one structural shock.
 
-    With ``normalize`` given, the shock column is rescaled so the impact
-    response of ``normalize_variable`` (default: the shock's own equation)
-    equals that value.
+    ``A`` (..., N, N*p + d) and ``B_m`` (..., N, N) may carry a leading
+    draw axis.  The shock's column of ``B_m^{-1}`` is the impact, and the
+    lag recursion of ``simulate`` carries it forward with the
+    deterministic terms off.  With ``normalize`` given, the shock column is
+    rescaled so the impact response of ``normalize_variable`` (default: the
+    shock's own equation) equals that value.
     """
-    N = B_m.shape[0]
+    N = B_m.shape[-1]
     if p is None:
-        p = (A.shape[1] - 1) // N
-    impact = np.linalg.inv(B_m)
-    F = companion_matrix(A, N, p)
-    out = np.empty((horizon + 1, N))
-    out[0] = impact[:, shock]
-    power = np.eye(N * p)
-    for hh in range(1, horizon + 1):
-        power = power @ F
-        out[hh] = power[:N, :N] @ impact[:, shock]
+        p = (A.shape[-1] - 1) // N
+    pulse = np.zeros((*np.broadcast_shapes(A.shape[:-2], B_m.shape[:-2]), horizon + 1, N))
+    pulse[..., 0, :] = np.linalg.inv(B_m)[..., :, shock]
+    out = lag_recursion(A[..., : N * p], np.zeros((p, N)), pulse)
     if normalize is not None:
         nv = shock if normalize_variable is None else normalize_variable
-        anchor = out[0, nv]
-        if anchor == 0.0:
+        anchor = out[..., :1, nv : nv + 1]
+        if np.any(anchor == 0.0):
             raise ValueError("impact response of the normalization variable is zero")
         out = out / anchor * normalize
     return out
@@ -169,17 +167,10 @@ def impulse_response_draws(
     normalize_variable: int | None = None,
 ) -> np.ndarray:
     """(draws, horizon+1, N) responses across the posterior sample."""
-    A = store.block("A")
-    B = store.block("B")
-    S = A.shape[0]
-    out = np.empty((S, horizon + 1, store.config.N))
-    for i in range(S):
-        out[i] = impulse_responses(
-            A[i], B[i, regime], horizon, shock,
-            normalize=normalize, normalize_variable=normalize_variable,
-            p=store.config.p,
-        )
-    return out
+    return impulse_responses(
+        store.block("A"), store.block("B")[:, regime], horizon, shock,
+        normalize=normalize, normalize_variable=normalize_variable, p=store.config.p,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +244,11 @@ def summarize(draws: np.ndarray, coverage: float = 0.68) -> Summary:
     )
 
 
-def regime_moments(
-    y: np.ndarray, probs: np.ndarray, *, hard: bool = True
-) -> list[dict[str, np.ndarray]]:
+def regime_moments(y: np.ndarray, probs: np.ndarray) -> list[dict[str, np.ndarray]]:
     """Per-regime mean, standard deviation, and covariance of the observations.
 
-    ``hard`` assigns each period to its most probable regime; otherwise
-    moments are probability weighted.  Empty regimes yield NaN entries.
+    Each period goes to its most probable regime.  Empty regimes yield NaN
+    entries.
     """
     y = np.asarray(y, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -267,28 +256,15 @@ def regime_moments(
     M = probs.shape[1]
     out = []
     for m in range(M):
-        if hard:
-            sel = probs.argmax(axis=1) == m
-            count = int(sel.sum())
-            if count == 0:
-                nan = np.full(N, np.nan)
-                out.append({"mean": nan, "sd": nan, "cov": np.full((N, N), np.nan), "weight": 0.0})
-                continue
-            ym = y[sel]
-            mean = ym.mean(axis=0)
-            dev = ym - mean
-            cov = dev.T @ dev / count
-            weight = float(count)
-        else:
-            w = probs[:, m]
-            total = w.sum()
-            if total <= 0:
-                nan = np.full(N, np.nan)
-                out.append({"mean": nan, "sd": nan, "cov": np.full((N, N), np.nan), "weight": 0.0})
-                continue
-            mean = (w[:, None] * y).sum(axis=0) / total
-            dev = y - mean
-            cov = (w[:, None] * dev).T @ dev / total
-            weight = float(total)
-        out.append({"mean": mean, "sd": np.sqrt(np.diag(cov)), "cov": cov, "weight": weight})
+        sel = probs.argmax(axis=1) == m
+        count = int(sel.sum())
+        if count == 0:
+            nan = np.full(N, np.nan)
+            out.append({"mean": nan, "sd": nan, "cov": np.full((N, N), np.nan), "weight": 0.0})
+            continue
+        ym = y[sel]
+        mean = ym.mean(axis=0)
+        dev = ym - mean
+        cov = dev.T @ dev / count
+        out.append({"mean": mean, "sd": np.sqrt(np.diag(cov)), "cov": cov, "weight": float(count)})
     return out

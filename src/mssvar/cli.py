@@ -268,6 +268,12 @@ def _cmd_forecast(args) -> int:
             print(f"model {name!r} declares det_columns, but predictive simulation is "
                   "intercept-only", file=sys.stderr)
             return 1
+        # every model is scored on the main config's data
+        if (cfg.variables, cfg.transforms) != (config.variables, config.transforms):
+            print(f"model {name!r} differs from the main config in its variables or "
+                  "transforms; log scores on different data cannot be compared",
+                  file=sys.stderr)
+            return 1
     dataset = load_dataset(
         args.data, config.p,
         transforms=config.transform_map(),

@@ -9,114 +9,48 @@ from scipy.special import logsumexp
 
 from .config import ModelConfig
 from .data import Dataset
+from .simulate import lag_recursion, simulate_regimes, simulate_shocks, simulate_volatility
 from .store import DrawStore
 
 _LOG2PI = np.log(2.0 * np.pi)
 
 
-@dataclass(frozen=True)
-class _DrawParams:
-    A: np.ndarray
-    B: np.ndarray
-    P: np.ndarray
-    omega: np.ndarray
-    rho: np.ndarray
-    s_last: int
-    h_last: np.ndarray
+def _simulate_ahead(
+    store: DrawStore, dataset: Dataset, steps: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate ``steps`` periods past the sample for all S draws at once.
 
-
-def _draw_params(store: DrawStore, i: int) -> _DrawParams:
-    T = store.T
-    s = store.block("s")[i].astype(np.int64) if T > 0 else np.zeros(0, dtype=np.int64)
-    return _DrawParams(
-        A=store.block("A")[i],
-        B=store.block("B")[i],
-        P=store.block("P")[i],
-        omega=store.block("omega")[i],
-        rho=store.block("rho")[i],
-        s_last=int(s[-1]) if T > 0 else 0,
-        h_last=store.block("h")[i][:, -1] if T > 0 else np.zeros(store.config.N),
-    )
-
-
-def _lag_stack(dataset: Dataset, p: int) -> list[np.ndarray]:
-    """Most recent p observation rows, newest first."""
-    rows = [dataset.y[-k] for k in range(1, p + 1)]
-    return [np.asarray(r, dtype=float) for r in rows]
-
-
-def _step(
-    params: _DrawParams,
-    lags: list[np.ndarray],
-    s_prev: int,
-    h_prev: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """One ancestral simulation step; returns (y_next, s_next, h_next)."""
-    M = params.P.shape[0]
-    cum = np.cumsum(params.P[s_prev])
-    s_next = min(int(np.searchsorted(cum, rng.random(), side="right")), M - 1)
-    h_next = params.rho * h_prev + rng.standard_normal(h_prev.shape[0])
-    sig = np.sqrt(np.exp(params.omega[:, s_next] * h_next))
-    u = sig * rng.standard_normal(h_prev.shape[0])
-    x = np.concatenate([np.concatenate(lags), np.ones(1)])
-    y_next = params.A @ x + np.linalg.solve(params.B[s_next], u)
-    return y_next, s_next, h_next
+    Returns the last p observed and simulated rows (S, p + steps, N), and
+    the regime (S,) and log-volatilities (S, N) of each path's last period.
+    A store with T = 0 starts every path from regime 0 and h = 0.
+    """
+    if dataset.d_dim != 1:
+        raise ValueError("predictive simulation supports intercept-only deterministic terms")
+    S, N, p = store.n_draws, store.config.N, store.config.p
+    if store.T > 0:
+        s_last = store.block("s")[:, -1].astype(np.int64)
+        h_last = store.block("h")[:, :, -1]
+    else:
+        s_last, h_last = np.zeros(S, dtype=np.int64), np.zeros((S, N))
+    P = store.block("P")
+    s = simulate_regimes(P[np.arange(S), s_last], P, steps, rng)
+    h = simulate_volatility(store.block("rho"), h_last, steps, rng)
+    eps, _ = simulate_shocks(store.block("B"), store.block("omega"), s, h, rng)
+    observed = dataset.y if dataset.presample is None else np.vstack([dataset.presample, dataset.y])
+    lags = np.broadcast_to(observed[-p:], (S, p, N))
+    paths = np.concatenate([lags, lag_recursion(store.block("A"), lags, eps)], axis=1)
+    if steps == 0:
+        return paths, s_last, h_last
+    return paths, s[:, -1], h[..., -1]
 
 
 def predictive_draws(
     store: DrawStore, dataset: Dataset, horizon: int, seed: int = 0
 ) -> np.ndarray:
     """(draws, horizon, N) ancestral simulations of future observations."""
-    if dataset.d_dim != 1:
-        raise ValueError("predictive simulation supports intercept-only deterministic terms")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(9,)))
-    S = store.n_draws
-    N, p = store.config.N, store.config.p
-    out = np.empty((S, horizon, N))
-    for i in range(S):
-        params = _draw_params(store, i)
-        lags = _lag_stack(dataset, p)
-        s_prev, h_prev = params.s_last, params.h_last
-        for hh in range(horizon):
-            y_next, s_prev, h_prev = _step(params, lags, s_prev, h_prev, rng)
-            out[i, hh] = y_next
-            lags.insert(0, y_next)
-            del lags[p:]
-    return out
-
-
-def _terminal_log_density(
-    params: _DrawParams,
-    lags: list[np.ndarray],
-    s_prev: int,
-    h_prev: np.ndarray,
-    y_real: np.ndarray,
-    rng: np.random.Generator,
-    variable: int | None = None,
-) -> float:
-    """Gaussian mixture density over the next regime, one simulated h step."""
-    N = y_real.shape[0]
-    h_next = params.rho * h_prev + rng.standard_normal(N)
-    x = np.concatenate([np.concatenate(lags), np.ones(1)])
-    mean = params.A @ x
-    M = params.P.shape[0]
-    terms = np.empty(M)
-    for m in range(M):
-        logvar = params.omega[:, m] * h_next
-        if variable is None:
-            u = params.B[m] @ (y_real - mean)
-            _, logdet = np.linalg.slogdet(params.B[m])
-            quad = np.sum(u * u * np.exp(-logvar))
-            loglik = logdet - 0.5 * (N * _LOG2PI + logvar.sum() + quad)
-        else:
-            Binv = np.linalg.inv(params.B[m])
-            cov = (Binv * np.exp(logvar)[None, :]) @ Binv.T
-            vv = cov[variable, variable]
-            dev = y_real[variable] - mean[variable]
-            loglik = -0.5 * (_LOG2PI + np.log(vv) + dev * dev / vv)
-        terms[m] = np.log(params.P[s_prev, m]) + loglik if params.P[s_prev, m] > 0 else -np.inf
-    return float(logsumexp(terms))
+    paths, _, _ = _simulate_ahead(store, dataset, horizon, rng)
+    return paths[:, store.config.p :]
 
 
 def predictive_log_densities(
@@ -130,24 +64,31 @@ def predictive_log_densities(
     """Per-draw log predictive density of the realized horizon-step value.
 
     Intermediate steps are simulated once per draw; the terminal step is the
-    exact Gaussian mixture over the next regime.  ``variable`` switches from
-    the joint density to one marginal.
+    exact Gaussian mixture over the next regime, one (draws, M) array of
+    terms.  ``variable`` switches from the joint density to one marginal.
     """
     y_future = np.asarray(y_future, dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(10,)))
-    S = store.n_draws
-    p = store.config.p
-    out = np.empty(S)
-    for i in range(S):
-        params = _draw_params(store, i)
-        lags = _lag_stack(dataset, p)
-        s_prev, h_prev = params.s_last, params.h_last
-        for _ in range(horizon - 1):
-            y_next, s_prev, h_prev = _step(params, lags, s_prev, h_prev, rng)
-            lags.insert(0, y_next)
-            del lags[p:]
-        out[i] = _terminal_log_density(params, lags, s_prev, h_prev, y_future, rng, variable)
-    return out
+    S, N, p = store.n_draws, store.config.N, store.config.p
+    paths, s_prev, h_prev = _simulate_ahead(store, dataset, horizon - 1, rng)
+    h_next = simulate_volatility(store.block("rho"), h_prev, 1, rng)  # (S, N, 1)
+    B, P = store.block("B"), store.block("P")
+    # one step of the recursion without a shock is the conditional mean A x
+    mean = lag_recursion(store.block("A"), paths[:, -p:], np.zeros((S, 1, N)))[:, 0]
+    dev = y_future - mean
+    logvar = np.swapaxes(store.block("omega") * h_next, 1, 2)  # (S, M, N)
+    if variable is None:
+        u = (B @ dev[:, None, :, None])[..., 0]
+        logdet = np.linalg.slogdet(B)[1]
+        quad = np.sum(u * u * np.exp(-logvar), axis=-1)
+        loglik = logdet - 0.5 * (N * _LOG2PI + logvar.sum(axis=-1) + quad)
+    else:
+        row = np.linalg.inv(B)[:, :, variable, :]
+        vv = np.sum(row * row * np.exp(logvar), axis=-1)
+        loglik = -0.5 * (_LOG2PI + np.log(vv) + dev[:, None, variable] ** 2 / vv)
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(P[np.arange(S), s_prev])
+    return logsumexp(log_trans + loglik, axis=1)
 
 
 def log_predictive_score(per_draw_log_densities: np.ndarray) -> float:

@@ -24,7 +24,7 @@ from .data import Dataset, build_design
 from .engine import gibbs_sweep
 from .patterns import apply_pattern
 from .priors import ShrinkageChain, sample_gamma
-from .simulate import DgpTruth, _simulate_regimes, _simulate_volatility, simulate_observations
+from .simulate import DgpTruth, simulate_observations, simulate_regimes, simulate_volatility
 from .state import ParameterState
 
 
@@ -49,14 +49,14 @@ def prior_draw(config: ModelConfig, T: int, rng: np.random.Generator) -> Paramet
         alpha[m] += config.d_m
         P[m] = rng.dirichlet(alpha)
     pi0 = rng.dirichlet(np.ones(M))
-    s = _simulate_regimes(P, pi0, T, rng)
+    s = simulate_regimes(pi0, P, T, rng)
     sigma2_omega = sample_gamma(config.omega_shape, config.omega_scale, rng, size=N)
     if config.fix_omega_at_zero:
         omega = np.zeros((N, M))
     else:
         omega = np.sqrt(sigma2_omega)[:, None] * rng.standard_normal((N, M))
     rho = -1.0 + 2.0 * rng.random(N)
-    h = _simulate_volatility(rho, T, rng)
+    h = simulate_volatility(rho, np.zeros(N), T, rng)
     kappa = np.zeros((N, M), dtype=np.int64)
     B = np.zeros((M, N, N))
     for n in range(N):

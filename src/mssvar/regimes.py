@@ -127,26 +127,3 @@ def draw_initial_probabilities(
         alpha[s[0]] += 1.0
     return rng.dirichlet(alpha)
 
-
-def expected_durations(P: np.ndarray) -> np.ndarray:
-    """Mean sojourn time per regime, 1 / (1 - P_mm)."""
-    stay = np.diag(P)
-    if np.any(stay >= 1.0):
-        raise ValueError("absorbing regime has infinite expected duration")
-    return 1.0 / (1.0 - stay)
-
-
-def stationary_distribution(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Left eigenvector of P for eigenvalue one, normalized to a distribution."""
-    P = np.asarray(P, dtype=float)
-    M = P.shape[0]
-    eigvals, eigvecs = np.linalg.eig(P.T)
-    unit = np.abs(eigvals - 1.0) < tol
-    if unit.sum() != 1:
-        raise ValueError(
-            f"unit eigenvalue multiplicity {int(unit.sum())}; chain is reducible or has no "
-            "unique stationary distribution"
-        )
-    v = np.real(eigvecs[:, unit.argmax()])
-    v = np.abs(v)
-    return v / v.sum()

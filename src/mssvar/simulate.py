@@ -1,4 +1,13 @@
-"""Forward simulation of the generative model."""
+"""Forward simulation of the generative model.
+
+This module is the one simulator of the model.  Its four pieces are the
+Markov regime path, the AR(1) log-volatilities, the heteroskedastic
+structural shocks mapped through the regime's ``B^{-1}``, and the VAR lag
+recursion.  Each takes an optional leading draw axis (the ``...`` in the
+shapes below), so one call simulates every posterior draw.  Without it,
+a piece consumes the generator as a loop over periods with one draw per
+call would.
+"""
 
 from __future__ import annotations
 
@@ -44,28 +53,94 @@ def spectral_radius(F: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(F)))) if F.size else 0.0
 
 
-def _simulate_regimes(P: np.ndarray, pi0: np.ndarray, T: int, rng: np.random.Generator) -> np.ndarray:
-    M = P.shape[0]
-    s = np.empty(T, dtype=np.int64)
+def simulate_regimes(
+    first_probs: np.ndarray, P: np.ndarray, T: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(..., T) Markov regime paths.
+
+    The first regime is drawn from ``first_probs`` (..., M), each later one
+    from the row of ``P`` (..., M, M) of its predecessor.  All the uniforms
+    come from one ``rng.random`` call.
+    """
+    first_probs = np.asarray(first_probs, dtype=float)
+    batch, M = first_probs.shape[:-1], first_probs.shape[-1]
     if T == 0:
-        return s
-    cum0 = np.cumsum(pi0)
-    cumP = np.cumsum(P, axis=1)
-    s[0] = min(int(np.searchsorted(cum0, rng.random(), side="right")), M - 1)
+        return np.empty((*batch, 0), dtype=np.int64)
+    u = rng.random((*batch, T))
+    # searchsorted(cumulative row, u, side="right"), capped at the last regime;
+    # nxt[..., t, j] is the regime at t of a path in regime j at t - 1
+    first = np.minimum((np.cumsum(first_probs, axis=-1) <= u[..., :1]).sum(axis=-1), M - 1)
+    cumP = np.cumsum(P, axis=-1)[..., None, :, :]
+    nxt = np.minimum((cumP <= u[..., None, None]).sum(axis=-1), M - 1).reshape(-1, T, M)
+    rows = np.arange(nxt.shape[0])
+    s = np.empty((nxt.shape[0], T), dtype=np.int64)
+    s[:, 0] = first.ravel()
     for t in range(1, T):
-        s[t] = min(int(np.searchsorted(cumP[s[t - 1]], rng.random(), side="right")), M - 1)
-    return s
+        s[:, t] = nxt[rows, t, s[:, t - 1]]
+    return s.reshape(*batch, T)
 
 
-def _simulate_volatility(rho: np.ndarray, T: int, rng: np.random.Generator) -> np.ndarray:
-    N = rho.shape[0]
-    h = np.zeros((N, T))
-    innov = rng.standard_normal((N, T))
-    prev = np.zeros(N)
+def simulate_volatility(
+    rho: np.ndarray, h0: np.ndarray, T: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(..., N, T) log-volatility paths ``h_t = rho * h_{t-1} + e_t`` from ``h_{-1} = h0``.
+
+    ``rho`` and ``h0`` are (..., N); the standard normal ``e`` comes from
+    one call.
+    """
+    rho = np.asarray(rho, dtype=float)
+    prev = np.asarray(h0, dtype=float)
+    innov = rng.standard_normal((*np.broadcast_shapes(rho.shape, prev.shape), T))
+    h = np.empty_like(innov)
     for t in range(T):
-        prev = rho * prev + innov[:, t]
-        h[:, t] = prev
+        prev = rho * prev + innov[..., t]
+        h[..., t] = prev
     return h
+
+
+def simulate_shocks(
+    B: np.ndarray,
+    omega: np.ndarray,
+    s: np.ndarray,
+    h: np.ndarray,
+    rng: np.random.Generator,
+    u: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced-form shocks ``B_{s_t}^{-1} u_t``, (..., T, N), and the structural ``u``, (..., N, T).
+
+    ``B`` is (..., M, N, N), ``omega`` (..., N, M), ``s`` (..., T) and ``h``
+    (..., N, T).  Each ``u_t`` is normal with variances
+    ``exp(omega[:, s_t] * h_t)`` unless ``u`` is given.
+    """
+    s = np.asarray(s, dtype=np.int64)
+    if u is None:
+        loadings = np.take_along_axis(omega, s[..., None, :], axis=-1)
+        sig = np.sqrt(np.exp(loadings * h))
+        u = sig * rng.standard_normal(sig.shape)
+    Binv = np.take_along_axis(np.linalg.inv(B), s[..., :, None, None], axis=-3)
+    return (Binv @ np.swapaxes(u, -1, -2)[..., None])[..., 0], u
+
+
+def lag_recursion(A: np.ndarray, presample: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """(..., T, N) observations ``y_t = A x_t + eps_t`` for the T rows of ``eps``.
+
+    ``x_t`` stacks the p previous observations, newest first, and ends with
+    a one if ``A`` (..., N, N*p + 1) has an intercept column; an ``A`` of
+    width N*p runs the recursion without one.  The p rows of ``presample``
+    (..., p, N), oldest first, open the recursion.
+    """
+    p, N = presample.shape[-2:]
+    T, K = eps.shape[-2], A.shape[-1]
+    if K not in (N * p, N * p + 1):
+        raise ValueError(f"A has {K} columns, expected N*p = {N * p} or one more for an intercept")
+    batch = np.broadcast_shapes(A.shape[:-2], presample.shape[:-2], eps.shape[:-2])
+    y = np.empty((*batch, p + T, N))
+    y[..., :p, :] = presample
+    x = np.ones((*batch, K, 1))
+    for t in range(T):
+        x[..., : N * p, 0] = y[..., t : t + p, :][..., ::-1, :].reshape(*batch, N * p)
+        y[..., p + t, :] = (A @ x)[..., 0] + eps[..., t, :]
+    return y[..., p:, :]
 
 
 def simulate_observations(
@@ -81,23 +156,8 @@ def simulate_observations(
     ``presample`` supplies the p initial rows; the deterministic term is an
     intercept.  If ``u`` is given the structural shocks are taken as-is.
     """
-    N = truth.A.shape[0]
-    p = presample.shape[0]
-    T = s.shape[0]
-    Binv = np.stack([np.linalg.inv(truth.B[m]) for m in range(truth.B.shape[0])])
-    sig = np.sqrt(np.exp(truth.omega[:, s] * h))
-    if u is None:
-        u = sig * rng.standard_normal((N, T))
-    y = np.empty((T, N))
-    buf = list(presample[::-1])  # most recent first
-    for t in range(T):
-        xt = np.concatenate([np.concatenate(buf[:p]), np.ones(1)])
-        eps = Binv[s[t]] @ u[:, t]
-        yt = truth.A @ xt + eps
-        y[t] = yt
-        buf.insert(0, yt)
-        del buf[p:]
-    return y, u
+    eps, u = simulate_shocks(truth.B, truth.omega, s, h, rng, u)
+    return lag_recursion(truth.A, presample, eps), u
 
 
 def generate_dgp(
@@ -124,8 +184,8 @@ def generate_dgp(
     if explosive:
         warnings.warn("autoregressive part is explosive; simulated paths may diverge")
     total = burn + p + T
-    s_all = _simulate_regimes(truth.P, truth.pi0, total, rng)
-    h_all = _simulate_volatility(truth.rho, total, rng)
+    s_all = simulate_regimes(truth.pi0, truth.P, total, rng)
+    h_all = simulate_volatility(truth.rho, np.zeros(N), total, rng)
     y_all, u_all = simulate_observations(truth, s_all, h_all, np.zeros((p, N)), rng)
     if not np.all(np.isfinite(y_all)):
         raise FloatingPointError("simulated path diverged; check stability of the truth")

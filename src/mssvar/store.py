@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
+import uuid
 import warnings
 from dataclasses import dataclass, field
 
@@ -86,7 +88,39 @@ def _block_digest(arr: np.ndarray) -> str:
 
 
 def persist_store(store: DrawStore, path: str) -> None:
-    os.makedirs(path, exist_ok=True)
+    """Write ``store`` to the directory ``path``, replacing a store already there.
+
+    The files are written into a temporary sibling directory, which is then
+    renamed to ``path``, so ``path`` never holds a half-written store.  An
+    old store is moved aside first and deleted only after the rename.  On
+    any error the temporary directory is removed and the old store is put
+    back.  A non-empty directory that is not a store is left alone.
+    """
+    path = os.path.normpath(os.path.abspath(path))
+    if (os.path.isdir(path) and os.listdir(path)
+            and not os.path.exists(os.path.join(path, "manifest.json"))):
+        raise ValueError(f"{path}: not a draw store; refusing to replace it")
+    parent, name = os.path.split(path)
+    os.makedirs(parent, exist_ok=True)
+    # os.mkdir, unlike tempfile.mkdtemp, gives the store the usual permissions
+    tmp = os.path.join(parent, f".{name}.{uuid.uuid4().hex}")
+    old = tmp + ".old"
+    os.mkdir(tmp)
+    try:
+        _write_store(store, tmp)
+        if os.path.lexists(path):
+            os.rename(path, old)
+        os.rename(tmp, path)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        if os.path.lexists(old) and not os.path.lexists(path):
+            os.rename(old, path)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
+
+
+def _write_store(store: DrawStore, path: str) -> None:
+    """Block files, then the manifest, into the existing directory ``path``."""
     manifest = {
         "format_version": FORMAT_VERSION,
         "config_digest": store.config.digest(),

@@ -27,7 +27,7 @@ from mssvar.geweke import geweke_joint_test
 from mssvar.patterns import build_pattern_set
 from mssvar.priors import ShrinkageChain, omega_prior_density_at_zero
 from mssvar.selfcheck import enumerate_regime_marginals, quadrature_log_marginal
-from mssvar.simulate import DgpTruth, generate_dgp, simulate_observations
+from mssvar.simulate import DgpTruth, companion_matrix, generate_dgp, simulate_observations
 from mssvar.state import ParameterState
 from mssvar.store import allocate_store, record_draw
 from mssvar.structural import pattern_log_marginal
@@ -275,7 +275,7 @@ def test_criterion_08_impulse_response_oracle():
         p = int(rng.integers(1, 4))
         A_lags = rng.normal(scale=0.4, size=(N, N * p))
         const = rng.normal(scale=0.2, size=(N, 1))
-        F = analytics.companion_matrix(np.hstack([A_lags, const]), N, p)
+        F = companion_matrix(np.hstack([A_lags, const]), N, p)
         rad = max(abs(np.linalg.eigvals(F)))
         if rad >= 0.95:
             A_lags = A_lags * (0.9 / rad)

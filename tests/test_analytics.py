@@ -268,22 +268,10 @@ def test_hdi_prefers_the_dense_side():
         highest_density_interval(np.zeros(0))
 
 
-def test_regime_moments_weighted_uniform_equals_full_sample():
-    rng = np.random.default_rng(115)
-    y = rng.normal(size=(200, 2))
-    probs = np.full((200, 2), 0.5)
-    out = regime_moments(y, probs, hard=False)
-    full_mean = y.mean(axis=0)
-    full_cov = (y - full_mean).T @ (y - full_mean) / 200
-    for m in range(2):
-        assert_allclose(out[m]["mean"], full_mean, atol=1e-12)
-        assert_allclose(out[m]["cov"], full_cov, atol=1e-12)
-
-
 def test_regime_moments_hard_assignment_and_empty_regime():
     y = np.array([[1.0, 0.0], [3.0, 0.0], [10.0, 10.0]])
     probs = np.array([[0.9, 0.1], [0.8, 0.2], [0.6, 0.4]])  # all argmax to 0
-    out = regime_moments(y, probs, hard=True)
+    out = regime_moments(y, probs)
     assert_allclose(out[0]["mean"], y.mean(axis=0))
     assert out[0]["weight"] == 3.0
     assert np.all(np.isnan(out[1]["mean"]))

@@ -194,6 +194,19 @@ def test_forecast_competitor_uses_its_own_lags(workspace, tmp_path):
     assert sorted(r[0] for r in rows[1:]) == ["l2", "main"]
 
 
+def test_forecast_rejects_competitor_with_other_transforms(workspace, tmp_path, capsys):
+    # the data are loaded once, with the main config's transforms, so a
+    # competitor that transforms y1 would be scored on data it does not describe
+    _, cfg, data, _ = workspace
+    logd = tmp_path / "logd.cfg"
+    logd.write_text(CONFIG + "\n[transforms]\ny1 = logdiff_x100\n")
+    rc = main(["forecast", "--config", str(cfg), "--data", str(data), "--origins", "50",
+               "--model", f"logd={logd}", "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert "'logd'" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_forecast_rejects_deterministic_terms(workspace, tmp_path, capsys):
     cfg, data = _with_trend(workspace, tmp_path)
     rc = main(["forecast", "--config", str(cfg), "--data", str(data), "--origins", "50",

@@ -14,7 +14,7 @@ from scipy import stats
 
 from mssvar.analytics import normalize_draws
 from mssvar.config import ModelConfig
-from mssvar.data import build_design
+from mssvar.data import build_design, empty_dataset
 from mssvar.engine import run_chain
 from mssvar.forecast import (
     EvaluationRow,
@@ -132,6 +132,24 @@ def test_horizon_one_regime_mixture_density():
     assert_allclose(ld[0], np.log(0.7 * d1 + 0.3 * d2), rtol=1e-12)
 
 
+def test_prior_only_store_starts_from_regime_one_and_the_presample():
+    # a store with T = 0 has no last regime or volatility: paths start in
+    # regime 1 with h = 0, and the lags come from the dataset's presample
+    config = ModelConfig(N=2, p=1, M=2, draws=1)
+    ds = empty_dataset(2, 1)
+    store = _manual_store(config, ds, n_draws=1)
+    store.blocks["A"][0] = [[0.5, 0.0, 1.0], [0.0, 0.5, -1.0]]
+    store.blocks["B"][0] = np.stack([np.eye(2), 0.5 * np.eye(2)])
+    store.blocks["P"][0] = [[0.7, 0.3], [0.4, 0.6]]
+    y_real = np.array([1.0, -0.5])
+    ld = predictive_log_densities(store, ds, y_real, 1, seed=4)
+    mean = np.array([1.0, -1.0])  # the intercept, as the presample is zero
+    d1 = stats.multivariate_normal(mean=mean, cov=np.eye(2)).pdf(y_real)
+    d2 = stats.multivariate_normal(mean=mean, cov=4.0 * np.eye(2)).pdf(y_real)
+    assert_allclose(ld[0], np.log(0.7 * d1 + 0.3 * d2), rtol=1e-12)
+    assert predictive_draws(store, ds, 2, seed=4).shape == (1, 2, 2)
+
+
 # ---------------------------------------------------------------------------
 # ancestral simulation
 
@@ -173,7 +191,68 @@ def test_predictive_draws_deterministic_in_seed():
     assert not np.array_equal(a, c)
 
 
-def test_predictive_rejects_extra_deterministic_columns():
+def _var1_store(ds, n_draws):
+    """Identical draws of a homoskedastic one-regime VAR(1) with an intercept."""
+    config = ModelConfig(N=2, p=1, M=1, draws=1)
+    store = _manual_store(config, ds, n_draws)
+    A = np.array([[0.5, 0.2, 0.3], [-0.1, 0.4, -0.2]])
+    B = np.array([[1.5, 0.0], [0.7, 2.0]])
+    store.blocks["A"][:] = A
+    store.blocks["B"][:, 0] = B
+    Binv = np.linalg.inv(B)
+    return store, A[:, :2], A[:, 2], Binv @ Binv.T
+
+
+def _var1_moments(A1, c, sigma, y_last, horizon):
+    """Closed-form mean and covariance of the horizon-step forecast."""
+    mean, cov = y_last, np.zeros_like(sigma)
+    for _ in range(horizon):
+        mean = A1 @ mean + c
+        cov = A1 @ cov @ A1.T + sigma  # sum over k of A1^k sigma A1^k'
+    return mean, cov
+
+
+def test_predictive_draws_multi_step_moments():
+    rng = np.random.default_rng(129)
+    ds = _small_dataset(rng)
+    n = 4000
+    store, A1, c, sigma = _var1_store(ds, n)
+    sims = predictive_draws(store, ds, 3, seed=7)
+    assert sims.shape == (n, 3, 2)
+    for k in range(1, 4):
+        mean, cov = _var1_moments(A1, c, sigma, ds.y[-1], k)
+        step = sims[:, k - 1]
+        mean_se = np.sqrt(np.diag(cov) / n)
+        assert np.all(np.abs(step.mean(axis=0) - mean) < 4.0 * mean_se)
+        # sampling sd of a covariance entry: sqrt((s_ii s_jj + s_ij^2) / n)
+        cov_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
+        assert np.all(np.abs(np.cov(step.T) - cov) < 5.0 * cov_se)
+
+
+@pytest.mark.parametrize("variable", [None, 0, 1])
+def test_two_step_log_score_matches_closed_form(variable):
+    rng = np.random.default_rng(130)
+    ds = _small_dataset(rng)
+    store, A1, c, sigma = _var1_store(ds, 4000)
+    mean, cov = _var1_moments(A1, c, sigma, ds.y[-1], 2)
+    y_real = mean + np.array([0.6, -0.4])
+    ld = predictive_log_densities(store, ds, y_real, 2, seed=8, variable=variable)
+    if variable is None:
+        want = stats.multivariate_normal(mean=mean, cov=cov).logpdf(y_real)
+    else:
+        want = stats.norm(mean[variable], np.sqrt(cov[variable, variable])).logpdf(
+            y_real[variable])
+    # delta-method standard error of the log of the draw-averaged density
+    dens = np.exp(ld)
+    se = dens.std(ddof=1) / (np.sqrt(dens.size) * dens.mean())
+    assert abs(log_predictive_score(ld) - want) < 4.0 * se
+
+
+@pytest.mark.parametrize("simulate", [
+    lambda store, ds: predictive_draws(store, ds, 1),
+    lambda store, ds: predictive_log_densities(store, ds, np.zeros(2), 1),
+], ids=["predictive_draws", "predictive_log_densities"])
+def test_predictive_rejects_extra_deterministic_columns(simulate):
     rng = np.random.default_rng(126)
     y = rng.normal(size=(21, 2))
     d = np.column_stack([np.ones(21), np.arange(21.0)])
@@ -181,7 +260,7 @@ def test_predictive_rejects_extra_deterministic_columns():
     config = ModelConfig(N=2, p=1, M=1, d_dim=2, draws=1)
     store = _manual_store(config, ds, n_draws=2)
     with pytest.raises(ValueError, match="intercept-only"):
-        predictive_draws(store, ds, 1)
+        simulate(store, ds)
 
 
 # ---------------------------------------------------------------------------

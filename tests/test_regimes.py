@@ -17,11 +17,9 @@ from mssvar.regimes import (
     backward_sample,
     draw_initial_probabilities,
     draw_transition_matrix,
-    expected_durations,
     forward_filter,
     regime_loglik_matrix,
     smoothed_probabilities,
-    stationary_distribution,
     transition_counts,
     transition_posterior_alpha,
 )
@@ -219,7 +217,7 @@ def test_backward_sample_degenerate_probabilities():
 
 
 # ---------------------------------------------------------------------------
-# transitions, initial distribution, durations
+# transitions and initial distribution
 
 
 def test_transition_counts_and_alpha():
@@ -256,25 +254,3 @@ def test_initial_distribution_posterior():
     prior = np.array([draw_initial_probabilities(np.zeros(0, dtype=int), 2, rng) for _ in range(n)])
     assert np.max(np.abs(prior.mean(axis=0) - 0.5)) < 0.01
 
-
-def test_expected_durations():
-    P = np.array([[0.9, 0.1], [0.2, 0.8]])
-    assert_allclose(expected_durations(P), [10.0, 5.0])
-    with pytest.raises(ValueError):
-        expected_durations(np.eye(2))
-
-
-def test_duration_at_prior_mean_matches_persistence_boost():
-    # d_m = 11 makes the prior-mean stay probability 12/13, duration 13
-    alpha = transition_posterior_alpha(np.zeros(0, dtype=int), 2, 11.0)
-    P_mean = alpha / alpha.sum(axis=1, keepdims=True)
-    assert_allclose(expected_durations(P_mean), [13.0, 13.0])
-
-
-def test_stationary_distribution():
-    P = np.array([[0.9, 0.1], [0.2, 0.8]])
-    pi = stationary_distribution(P)
-    assert_allclose(pi, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
-    assert_allclose(pi @ P, pi, atol=1e-12)
-    with pytest.raises(ValueError):
-        stationary_distribution(np.eye(2))

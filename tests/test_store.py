@@ -101,3 +101,52 @@ def test_expected_config_guard(small_store, tmp_path):
     with pytest.warns(UserWarning, match="different config"):
         loaded = load_store(path, expected_config=other, allow_config_mismatch=True)
     assert loaded.n_draws == store.n_draws
+
+
+def _fail_json_dump(*args, **kwargs):
+    raise OSError("disk full")
+
+
+def test_failed_write_leaves_no_store(small_store, tmp_path, monkeypatch):
+    _, _, store = small_store
+    monkeypatch.setattr("mssvar.store.json.dump", _fail_json_dump)
+    with pytest.raises(OSError, match="disk full"):
+        persist_store(store, str(tmp_path / "fresh"))
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_overwrite_keeps_the_old_store(small_store, tmp_path, monkeypatch):
+    config, ds, store = small_store
+    path = str(tmp_path / "chain0")
+    persist_store(store, path)
+    before = {name: open(os.path.join(path, name), "rb").read() for name in os.listdir(path)}
+    other = run_chain(config.with_updates(seed=6), ds)
+    monkeypatch.setattr("mssvar.store.json.dump", _fail_json_dump)
+    with pytest.raises(OSError, match="disk full"):
+        persist_store(other, path)
+    assert os.listdir(tmp_path) == ["chain0"]
+    after = {name: open(os.path.join(path, name), "rb").read() for name in os.listdir(path)}
+    assert after == before
+    loaded = load_store(path)
+    for name in store.blocks:
+        assert loaded.blocks[name].tobytes() == store.blocks[name].tobytes(), name
+
+
+def test_overwrite_replaces_the_store(small_store, tmp_path):
+    config, ds, store = small_store
+    path = str(tmp_path / "chain0")
+    persist_store(store, path)
+    other = run_chain(config.with_updates(seed=6), ds)
+    persist_store(other, path)
+    assert os.listdir(tmp_path) == ["chain0"]
+    loaded = load_store(path)
+    assert loaded.config.seed == 6
+    assert loaded.blocks["A"].tobytes() == other.blocks["A"].tobytes()
+
+
+def test_refuses_to_replace_a_directory_that_is_not_a_store(small_store, tmp_path):
+    _, _, store = small_store
+    (tmp_path / "notes.txt").write_text("keep me")
+    with pytest.raises(ValueError, match="not a draw store"):
+        persist_store(store, str(tmp_path))
+    assert os.listdir(tmp_path) == ["notes.txt"]
