@@ -25,12 +25,10 @@ def normalize_draws(store: DrawStore, policy: str = "sign-diag") -> DrawStore:
     ``sign-diag`` flips structural rows so diagonals are positive;
     ``labels`` additionally permutes regimes per draw to the labeling of the
     reference draw (the one with the highest stored log marginal
-    likelihood); ``none`` is the identity.
+    likelihood).
     """
-    if policy not in ("sign-diag", "labels", "none"):
+    if policy not in ("sign-diag", "labels"):
         raise ValueError(f"unknown normalization policy {policy!r}")
-    if policy == "none":
-        return store
     B = store.block("B")
     diag = np.diagonal(B, axis1=2, axis2=3)  # (S, M, N)
     n_zero_diag = int(np.count_nonzero(diag == 0.0))

@@ -137,35 +137,22 @@ def gibbs_sweep(
     for m in range(M):
         sel = s == m
         T_m = int(sel.sum())
-        eps_m = eps[sel]
+        eps_m = eps[sel]  # an empty regime leaves a zero cross-product
         for n in range(N):
             gamma = state.shrink_B.gamma[n]
-            if T_m > 0:
-                inv_sig = np.exp(-state.omega[n, m] * state.h[n, sel])
-                crossprod = (eps_m * inv_sig[:, None]).T @ eps_m
-            else:
-                crossprod = np.zeros((N, N))
+            inv_sig = np.exp(-state.omega[n, m] * state.h[n, sel])
+            crossprod = (eps_m * inv_sig[:, None]).T @ eps_m
             cof = structural.row_cofactors(state.B[m], n)
             candidates = pats.equations[n]
+            mats = [(structural.row_posterior_precision(crossprod, pat.free_idx, gamma),
+                     cof[pat.free_idx]) for pat in candidates]
+            k = 0
             if len(candidates) > 1:
-                logms = np.empty(len(candidates))
-                mats = []
-                for k, pat in enumerate(candidates):
-                    S = structural.row_posterior_precision(crossprod, pat.free_idx, gamma)
-                    w = cof[pat.free_idx]
-                    mats.append((S, w))
-                    logms[k] = structural.pattern_log_marginal(S, w, gamma, T_m)
+                logms = [structural.pattern_log_marginal(S, w, gamma, T_m) for S, w in mats]
                 k = structural.draw_tvi_indicator(logms, rng)
-                state.kappa[n, m] = k
-                S, w = mats[k]
-                pat = candidates[k]
-            else:
-                pat = candidates[0]
-                state.kappa[n, m] = 0
-                S = structural.row_posterior_precision(crossprod, pat.free_idx, gamma)
-                w = cof[pat.free_idx]
-            b = structural.draw_row_coefficients(S, w, T_m, rng)
-            state.B[m, n, :] = apply_pattern(b, pat)
+            state.kappa[n, m] = k
+            b = structural.draw_row_coefficients(*mats[k], T_m, rng)
+            state.B[m, n, :] = apply_pattern(b, candidates[k])
 
     # (7) structural shrinkage hierarchy
     sum_sq = np.zeros(N)
@@ -197,13 +184,7 @@ def chain_rng(seed: int, chain_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chain_id,)))
 
 
-def run_chain(
-    config: ModelConfig,
-    dataset: Dataset,
-    chain_id: int = 0,
-    *,
-    progress: bool = False,
-) -> DrawStore:
+def run_chain(config: ModelConfig, dataset: Dataset, chain_id: int = 0) -> DrawStore:
     """Burn in, then record every ``thin``-th sweep into a draw store."""
     if (dataset.N, dataset.p, dataset.d_dim) != (config.N, config.p, config.d_dim):
         raise ValueError(
@@ -220,7 +201,5 @@ def run_chain(
         if it >= config.burnin and (it - config.burnin) % config.thin == 0:
             record_draw(store, kept, state)
             kept += 1
-        if progress and (it + 1) % max(1, total // 20) == 0:
-            print(f"chain {chain_id}: sweep {it + 1}/{total}", flush=True)
     assert kept == config.draws
     return store

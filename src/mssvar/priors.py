@@ -70,34 +70,19 @@ def sample_gig(lam: float, chi: float, psi: float, rng: np.random.Generator) -> 
     return float(stats.geninvgauss.rvs(lam, b, scale=np.sqrt(chi / psi), random_state=rng))
 
 
+def categorical(probs: np.ndarray, u) -> np.ndarray:
+    """Inverse-CDF categorical draws over the last axis of ``probs`` (..., K).
+
+    Each draw is the count of cumulative probabilities at or below its
+    uniform ``u`` (broadcast against ``probs[..., 0]``), capped at K - 1 so
+    that a ``u`` above a rounded total still lands on the last category.
+    """
+    cum = np.cumsum(probs, axis=-1)
+    return np.minimum((cum <= np.asarray(u)[..., None]).sum(axis=-1), cum.shape[-1] - 1)
+
+
 # ---------------------------------------------------------------------------
-# densities (log scale, fully normalized)
-
-
-def ig2_log_density(x, s: float, nu: float):
-    x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, -np.inf)
-    pos = x > 0
-    out[pos] = (
-        0.5 * nu * np.log(s / 2.0)
-        - special.gammaln(nu / 2.0)
-        - 0.5 * (nu + 2.0) * np.log(x[pos])
-        - 0.5 * s / x[pos]
-    )
-    return out if out.ndim else float(out)
-
-
-def gamma_log_density(x, shape: float, scale: float):
-    x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, -np.inf)
-    pos = x > 0
-    out[pos] = (
-        -special.gammaln(shape)
-        - shape * np.log(scale)
-        + (shape - 1.0) * np.log(x[pos])
-        - x[pos] / scale
-    )
-    return out if out.ndim else float(out)
+# the GIG density (log scale, fully normalized)
 
 
 def gig_log_density(x, lam: float, chi: float, psi: float):
@@ -109,20 +94,6 @@ def gig_log_density(x, lam: float, chi: float, psi: float):
     out = np.full(x.shape, -np.inf)
     pos = x > 0
     out[pos] = lognorm + (lam - 1.0) * np.log(x[pos]) - 0.5 * (chi / x[pos] + psi * x[pos])
-    return out if out.ndim else float(out)
-
-
-def truncated_normal_log_density(x, mean: float, var: float, lo: float, hi: float):
-    x = np.asarray(x, dtype=float)
-    sd = np.sqrt(var)
-    z = special.ndtr((hi - mean) / sd) - special.ndtr((lo - mean) / sd)
-    out = np.full(x.shape, -np.inf)
-    inside = (x > lo) & (x < hi)
-    out[inside] = (
-        -0.5 * np.log(2.0 * np.pi * var)
-        - 0.5 * (x[inside] - mean) ** 2 / var
-        - np.log(z)
-    )
     return out if out.ndim else float(out)
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
+from .priors import categorical
+from .simulate import follow
 from .sv import conditional_variances
 
 _LOG2PI = np.log(2.0 * np.pi)
@@ -59,24 +61,27 @@ def forward_filter(
 def backward_sample(
     filtered: np.ndarray, P: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Joint draw of the regime path given filtered probabilities."""
+    """Joint draw of the regime path given filtered probabilities.
+
+    The T uniforms come from one call, in the order of one draw per period
+    from the last period back: ``u[k]`` drives period T - k.
+    """
     T, M = filtered.shape
-    s = np.empty(T, dtype=np.int64)
     if T == 0:
-        return s
-    s[T - 1] = _categorical(filtered[T - 1], rng)
-    for t in range(T - 2, -1, -1):
-        w = filtered[t] * P[:, s[t + 1]]
-        total = w.sum()
-        if total <= 0.0:
-            raise ValueError(f"backward sampling collapsed at period {t + 1}")
-        s[t] = _categorical(w / total, rng)
+        return np.empty(0, dtype=np.int64)
+    u = rng.random(T)
+    # w[t, j, i] = filtered[t, i] * P[i, j]: the weight of regime i at t given j at t + 1
+    w = filtered[:-1, None, :] * np.ascontiguousarray(P.T)
+    total = w.sum(axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # prev[t, j] is the regime at t of a path in regime j at t + 1; a row
+        # with zero total is 0/0, which matters only if the path enters it
+        prev = categorical(w / total[..., None], u[:0:-1, None])
+    s = follow(categorical(filtered[-1], u[0]), prev[::-1])[::-1].copy()
+    collapsed = np.flatnonzero(total[np.arange(T - 1), s[1:]] <= 0.0)
+    if collapsed.size:
+        raise ValueError(f"backward sampling collapsed at period {collapsed[-1] + 1}")
     return s
-
-
-def _categorical(probs: np.ndarray, rng: np.random.Generator) -> int:
-    u = rng.random()
-    return int(min(np.searchsorted(np.cumsum(probs), u, side="right"), probs.size - 1))
 
 
 def smoothed_probabilities(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, build_design
+from .priors import categorical
 
 
 @dataclass(frozen=True)
@@ -63,21 +64,30 @@ def simulate_regimes(
     come from one ``rng.random`` call.
     """
     first_probs = np.asarray(first_probs, dtype=float)
-    batch, M = first_probs.shape[:-1], first_probs.shape[-1]
+    batch = first_probs.shape[:-1]
     if T == 0:
         return np.empty((*batch, 0), dtype=np.int64)
     u = rng.random((*batch, T))
-    # searchsorted(cumulative row, u, side="right"), capped at the last regime;
-    # nxt[..., t, j] is the regime at t of a path in regime j at t - 1
-    first = np.minimum((np.cumsum(first_probs, axis=-1) <= u[..., :1]).sum(axis=-1), M - 1)
-    cumP = np.cumsum(P, axis=-1)[..., None, :, :]
-    nxt = np.minimum((cumP <= u[..., None, None]).sum(axis=-1), M - 1).reshape(-1, T, M)
-    rows = np.arange(nxt.shape[0])
-    s = np.empty((nxt.shape[0], T), dtype=np.int64)
-    s[:, 0] = first.ravel()
-    for t in range(1, T):
-        s[:, t] = nxt[rows, t, s[:, t - 1]]
-    return s.reshape(*batch, T)
+    # nxt[..., t, j] is the regime at t + 1 of a path in regime j at t
+    nxt = categorical(np.asarray(P)[..., None, :, :], u[..., 1:, None])
+    return follow(categorical(first_probs, u[..., 0]), nxt)
+
+
+def follow(first: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """(..., T) paths that start in state ``first`` (...) and walk a successor table.
+
+    ``nxt`` is (..., T - 1, M): a path in state j at step t is in state
+    ``nxt[..., t, j]`` at step t + 1.
+    """
+    batch, (steps, M) = nxt.shape[:-2], nxt.shape[-2:]
+    paths = int(np.prod(batch))
+    table = nxt.reshape(paths, steps, M)
+    rows = np.arange(paths)
+    s = np.empty((paths, steps + 1), dtype=np.int64)
+    s[:, 0] = np.reshape(first, -1)
+    for t in range(steps):
+        s[:, t + 1] = table[rows, t, s[:, t]]
+    return s.reshape(*batch, steps + 1)
 
 
 def simulate_volatility(

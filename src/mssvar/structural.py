@@ -14,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg, special
 
+from .priors import categorical
+
 _CHOL_JITTER = 1e-10
 
 
@@ -107,7 +109,7 @@ def draw_tvi_indicator(log_marginals: np.ndarray, rng: np.random.Generator) -> i
         raise ValueError("all candidate patterns have zero marginal likelihood")
     probs = np.exp(lm - top)
     probs /= probs.sum()
-    return int(np.searchsorted(np.cumsum(probs), rng.random(), side="right").clip(0, lm.size - 1))
+    return int(categorical(probs, rng.random()))
 
 
 def draw_row_coefficients(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .priors import sample_gig, sample_truncated_normal
+from .priors import categorical, sample_gig, sample_truncated_normal
 
 RESIDUAL_FLOOR = 1e-10
 
@@ -90,10 +90,7 @@ def draw_mixture_indicators(
     logp -= logp.max(axis=-1, keepdims=True)
     probs = np.exp(logp)
     probs /= probs.sum(axis=-1, keepdims=True)
-    cum = np.cumsum(probs, axis=-1)
-    u = rng.random(z.shape + (1,))
-    idx = (u > cum).sum(axis=-1)
-    return np.minimum(idx, table.probs.size - 1)
+    return categorical(probs, rng.random(z.shape))
 
 
 def _ar1_band(rho: float, T: int) -> np.ndarray:

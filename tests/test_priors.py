@@ -12,15 +12,13 @@ from scipy import integrate, stats
 
 from mssvar.priors import (
     ShrinkageChain,
-    gamma_log_density,
+    categorical,
     gig_log_density,
-    ig2_log_density,
     omega_prior_density_at_zero,
     sample_gamma,
     sample_gig,
     sample_ig2,
     sample_truncated_normal,
-    truncated_normal_log_density,
     update_shrinkage_chain,
 )
 
@@ -47,11 +45,6 @@ def test_ig2_monte_carlo_mean():
     draws = sample_ig2(10.0, 12.0, rng, size=1_000_000)
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - 1.0) < 3.0 * se
-
-
-def test_ig2_density_normalizes():
-    val, _ = integrate.quad(lambda x: np.exp(ig2_log_density(x, 2.0, 5.0)), 0.0, np.inf)
-    assert abs(val - 1.0) < 1e-6
 
 
 def test_ig2_sampler_matches_density():
@@ -83,12 +76,6 @@ def test_gamma_mean_and_density():
     assert abs(draws.mean() - 2.5 * 1.7) < 3.0 * se
     stat = _ks(draws, lambda x: stats.gamma.cdf(x, 2.5, scale=1.7))
     assert stat < KS_SLOPE / np.sqrt(n)
-    grid = np.array([0.3, 1.0, 4.2])
-    assert_allclose(
-        gamma_log_density(grid, 2.5, 1.7),
-        stats.gamma.logpdf(grid, 2.5, scale=1.7),
-        rtol=1e-12,
-    )
 
 
 def test_truncated_normal_wide_window_is_normal():
@@ -109,19 +96,59 @@ def test_truncated_normal_matches_reference():
     a, b = (lo - mean) / sd, (hi - mean) / sd
     stat = _ks(draws, lambda x: stats.truncnorm.cdf(x, a, b, loc=mean, scale=sd))
     assert stat < KS_SLOPE / np.sqrt(n)
-    grid = np.array([-0.5, 0.0, 0.9])
-    assert_allclose(
-        truncated_normal_log_density(grid, mean, var, lo, hi),
-        stats.truncnorm.logpdf(grid, a, b, loc=mean, scale=sd),
-        rtol=1e-10,
-    )
-    assert truncated_normal_log_density(2.0, mean, var, lo, hi) == -np.inf
 
 
 def test_truncated_normal_far_tail_clamps():
     rng = np.random.default_rng(1)
     out = sample_truncated_normal(1e6, 1.0, -1.0, 1.0, rng)
     assert -1.0 <= out <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# categorical
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_categorical_frequencies_match_probabilities(K):
+    rng = np.random.default_rng(60 + K)
+    probs = rng.dirichlet(np.ones(K))
+    n = 200_000
+    draws = categorical(probs, rng.random(n))
+    assert draws.shape == (n,) and draws.min() >= 0 and draws.max() <= K - 1
+    freq = np.bincount(draws, minlength=K) / n
+    se = np.sqrt(probs * (1.0 - probs) / n)
+    assert np.all(np.abs(freq - probs) <= 4.0 * se + 1e-12)
+
+
+def test_categorical_skips_zero_probability_categories():
+    probs = np.array([0.0, 0.3, 0.0, 0.0, 0.7, 0.0])
+    u = np.concatenate([np.random.default_rng(66).random(50_000), [0.0, 0.3, 0.7]])
+    draws = categorical(probs, u)
+    assert set(np.unique(draws)) == {1, 4}
+    assert categorical(probs, 0.0) == 1  # the cumulative 0.0 of category 0 is at or below u
+    assert categorical(probs, 0.3) == 4  # a tie goes to the next category
+
+
+def test_categorical_caps_at_the_last_category():
+    probs = np.full(10, 0.1)
+    u = np.nextafter(1.0, 0.0)  # the largest uniform a generator can return
+    assert np.cumsum(probs)[-1] <= u  # the rounded total falls short of one
+    assert categorical(probs, u) == 9
+    assert categorical(np.array([0.2, 0.3]), 0.9) == 1  # a short total still lands in range
+
+
+def test_categorical_broadcasts_over_leading_axes():
+    rng = np.random.default_rng(67)
+    probs = rng.dirichlet(np.ones(4), size=(3, 5))
+    u = rng.random((2, 3, 5))
+    draws = categorical(probs, u)
+    assert draws.shape == (2, 3, 5)
+    for idx in np.ndindex(2, 3, 5):
+        cum = np.cumsum(probs[idx[1:]])
+        assert draws[idx] == min(np.searchsorted(cum, u[idx], side="right"), 3)
+    # one probability vector shared by a batch of uniforms
+    shared = np.broadcast_to(probs[0, 0], (2, 3, 5, 4))
+    assert np.array_equal(categorical(probs[0, 0], u), categorical(shared, u))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +225,7 @@ def test_omega_prior_at_zero_quadrature():
     def integrand(v):
         return (
             np.exp(-0.5 * np.log(2.0 * np.pi * v))
-            * np.exp(gamma_log_density(v, shape, scale))
+            * stats.gamma.pdf(v, shape, scale=scale)
         )
 
     val, _ = integrate.quad(integrand, 0.0, np.inf)

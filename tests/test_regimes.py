@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from mssvar.data import Dataset
@@ -214,6 +214,63 @@ def test_backward_sample_degenerate_probabilities():
     s = backward_sample(filtered, P, rng)
     assert np.all(s == 1)
     assert backward_sample(np.zeros((0, 2)), P, rng).shape == (0,)
+
+
+def _backward_sample_loop(filtered, P, rng):
+    """The per-period reference: one uniform per period, from the last period back."""
+    T, M = filtered.shape
+    s = np.empty(T, dtype=np.int64)
+
+    def draw(probs):
+        return min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), M - 1)
+
+    if T == 0:
+        return s
+    s[T - 1] = draw(filtered[T - 1])
+    for t in range(T - 2, -1, -1):
+        w = filtered[t] * P[:, s[t + 1]]
+        total = w.sum()
+        if total <= 0.0:
+            raise ValueError(f"backward sampling collapsed at period {t + 1}")
+        s[t] = draw(w / total)
+    return s
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+@pytest.mark.parametrize("T", [1, 2, 57])
+def test_backward_sample_matches_per_period_loop(M, T):
+    gen = np.random.default_rng(100 * M + T)
+    cases = [(gen.dirichlet(np.full(M, 0.5), size=T), gen.dirichlet(np.ones(M), size=M))]
+    sparse = gen.dirichlet(np.ones(M), size=T)
+    sparse[gen.random((T, M)) < 0.4] = 0.0
+    sparse[sparse.sum(axis=1) == 0.0, 0] = 1.0
+    cases.append((sparse / sparse.sum(axis=1, keepdims=True), np.eye(M)))
+    for filtered, P in cases:
+        for seed in range(25):
+            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            try:
+                want = _backward_sample_loop(filtered, P, ref_rng)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=f"^{err}$"):
+                    backward_sample(filtered, P, rng)
+                continue
+            got = backward_sample(filtered, P, rng)
+            assert got.dtype == np.int64
+            assert_array_equal(got, want)
+            assert rng.random() == ref_rng.random()  # both consumed T uniforms
+
+
+def test_backward_sample_collapse_names_the_period():
+    # regime 0 is impossible at period 3, so a path in regime 1 from period 4
+    # on cannot step back under identity transitions
+    filtered = np.tile([0.5, 0.5], (6, 1))
+    filtered[2] = [1.0, 0.0]
+    filtered[3:] = [0.0, 1.0]
+    for seed in range(5):
+        with pytest.raises(ValueError, match="collapsed at period 3$"):
+            _backward_sample_loop(filtered, np.eye(2), np.random.default_rng(seed))
+        with pytest.raises(ValueError, match="collapsed at period 3$"):
+            backward_sample(filtered, np.eye(2), np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
