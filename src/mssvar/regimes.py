@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .data import Dataset
@@ -38,24 +40,73 @@ def regime_loglik_matrix(
 def forward_filter(
     loglik: np.ndarray, P: np.ndarray, pi0: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Scaled forward recursion; returns filtered probabilities and log marginal likelihood."""
+    """Filtered probabilities (T, M) and the log marginal likelihood.
+
+    The unnormalised filter at period t is the common row of the prefix
+    product ``E_0 E_1 ... E_t`` of the period matrices ``E_t = P
+    diag(lik_t)``, with ``lik_t = exp(loglik_t - max(loglik_t))`` and
+    ``E_0`` the rank-one matrix whose rows are all ``pi0 * lik_0``.  The
+    prefixes come from ceil(log2 T) rounds of recursive doubling
+    (Hillis-Steele), the temporal parallelisation of Hassan, Sarkka &
+    Garcia-Fernandez (2021, IEEE TSP 69).  Each segment product is kept as
+    ``diag(exp(a)) S`` with a log scale per row and the largest entry of
+    each row of ``S`` equal to one, so a row far below the others neither
+    underflows nor swamps them.  Zero entries of ``P``, ``pi0`` or a
+    likelihood, and reducible chains, are handled wherever the per-period
+    recursion handled them.  Raises ``ValueError`` naming the first period
+    at which every regime has zero likelihood or the filter collapses.
+    """
     loglik = np.asarray(loglik, dtype=float)
     T, M = loglik.shape
-    filtered = np.empty((T, M))
-    logml = 0.0
-    pred = np.asarray(pi0, dtype=float)
-    for t in range(T):
-        top = loglik[t].max()
-        if not np.isfinite(top):
-            raise ValueError(f"all regimes have zero likelihood at period {t + 1}")
-        w = pred * np.exp(loglik[t] - top)
-        c = w.sum()
-        if c <= 0.0:
-            raise ValueError(f"filter collapsed at period {t + 1}")
-        filtered[t] = w / c
-        logml += np.log(c) + top
-        pred = filtered[t] @ P
-    return filtered, float(logml)
+    top = loglik.max(axis=1)
+    bad = np.flatnonzero(~np.isfinite(top))
+    good = bad[0] if bad.size else T  # the filter runs up to the first impossible period
+    lik = np.exp(loglik[:good] - top[:good, None])
+    S = np.asarray(P, dtype=float) * lik[:, None, :]
+    if good:
+        S[0] = np.asarray(pi0, dtype=float) * lik[0]
+    with np.errstate(divide="ignore"):  # the log of a zero entry or row is -inf
+        S, a = _scale_rows(S, np.zeros((good, M)))
+        step = 1
+        while step < good:
+            S[step:], a[step:] = _compose(S[:-step], a[:-step], S[step:], a[step:])
+            step *= 2
+    total = S[:, 0].sum(axis=1)
+    collapsed = np.flatnonzero(total <= 0.0)
+    if collapsed.size:
+        raise ValueError(f"filter collapsed at period {collapsed[0] + 1}")
+    if bad.size:
+        raise ValueError(f"all regimes have zero likelihood at period {good + 1}")
+    logml = top.sum() + (a[-1, 0] + np.log(total[-1]) if T else 0.0)
+    return S[:, 0] / total[:, None], float(logml)
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    # elementwise over the M columns: a numpy reduction along a last axis
+    # this short is many times slower
+    return functools.reduce(np.maximum, [x[..., k] for k in range(x.shape[-1])])
+
+
+def _scale_rows(S: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``diag(exp(a)) S`` with each row of ``S`` rescaled to largest entry one.
+
+    A zero row stays zero, with log scale ``-inf``; like ``_compose``, it
+    runs under the filter's ``errstate`` that lets ``log(0)`` be ``-inf``.
+    """
+    r = _row_max(S)
+    return S / np.where(r > 0.0, r, 1.0)[..., None], a + np.log(r)
+
+
+def _compose(S1, a1, S2, a2):
+    """The product of segments ``diag(exp(a1)) S1`` and ``diag(exp(a2)) S2``.
+
+    Row i is shifted by the largest log weight ``log S1[i, k] + a2[k]`` of
+    a column k that it reaches, so its dominant term enters at scale one.
+    """
+    G = np.log(S1) + a2[..., None, :]
+    b = _row_max(G)
+    b = np.where(b > -np.inf, b, 0.0)  # a zero row reaches nothing and stays zero
+    return _scale_rows(np.exp(G - b[..., None]) @ S2, a1 + b)
 
 
 def backward_sample(

@@ -77,16 +77,27 @@ def follow(first: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     """(..., T) paths that start in state ``first`` (...) and walk a successor table.
 
     ``nxt`` is (..., T - 1, M): a path in state j at step t is in state
-    ``nxt[..., t, j]`` at step t + 1.
+    ``nxt[..., t, j]`` at step t + 1.  The maps are composed into prefixes
+    by recursive doubling, ceil(log2 T) gathers over the whole table (the
+    temporal parallelisation of Hassan, Sarkka & Garcia-Fernandez, 2021),
+    and one last gather reads every prefix at ``first``.
     """
     batch, (steps, M) = nxt.shape[:-2], nxt.shape[-2:]
     paths = int(np.prod(batch))
-    table = nxt.reshape(paths, steps, M)
-    rows = np.arange(paths)
+    # a copy, composed in place: at the end table[:, t, j] is the state at
+    # step t + 1 of a path in state j at step 0
+    table = nxt.reshape(paths, steps, M).astype(np.int64)
+    flat = table.reshape(-1)
+    # flat[row[p, t] + j] is table[p, t, j]; a flat take is much cheaper
+    # than take_along_axis on tables this small
+    row = np.arange(0, paths * steps * M, M).reshape(paths, steps, 1)
+    step = 1
+    while step < steps:
+        table[:, step:] = flat.take(row[:, step:] + table[:, :-step])
+        step *= 2
     s = np.empty((paths, steps + 1), dtype=np.int64)
     s[:, 0] = np.reshape(first, -1)
-    for t in range(steps):
-        s[:, t + 1] = table[rows, t, s[:, t]]
+    s[:, 1:] = flat.take(row[..., 0] + s[:, :1])
     return s.reshape(*batch, steps + 1)
 
 

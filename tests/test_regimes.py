@@ -166,6 +166,107 @@ def test_filter_rejects_impossible_period():
         forward_filter(loglik, np.eye(2), np.array([0.5, 0.5]))
 
 
+def _forward_filter_loop(loglik, P, pi0):
+    """The per-period reference: one scaled forward step per period."""
+    T, M = loglik.shape
+    filtered = np.empty((T, M))
+    logml = 0.0
+    pred = np.asarray(pi0, dtype=float)
+    for t in range(T):
+        top = loglik[t].max()
+        if not np.isfinite(top):
+            raise ValueError(f"all regimes have zero likelihood at period {t + 1}")
+        w = pred * np.exp(loglik[t] - top)
+        c = w.sum()
+        if c <= 0.0:
+            raise ValueError(f"filter collapsed at period {t + 1}")
+        filtered[t] = w / c
+        logml += np.log(c) + top
+        pred = filtered[t] @ P
+    return filtered, float(logml)
+
+
+def _assert_filter_matches_loop(loglik, P, pi0):
+    try:
+        want, want_logml = _forward_filter_loop(loglik, P, pi0)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{err}$"):
+            forward_filter(loglik, P, pi0)
+        return str(err)
+    filtered, logml = forward_filter(loglik, P, pi0)
+    assert filtered.shape == want.shape
+    assert_allclose(filtered, want, rtol=0.0, atol=1e-13)
+    assert abs(logml - want_logml) <= 1e-10
+    return None
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+@pytest.mark.parametrize("T", [0, 1, 2, 57, 600])
+def test_filter_matches_per_period_loop(M, T):
+    gen = np.random.default_rng(10 * M + T)
+    for spread in (1.0, 10.0, 300.0):
+        loglik = spread * gen.normal(size=(T, M)) - 50.0
+        P = gen.dirichlet(np.ones(M), size=M)
+        assert _assert_filter_matches_loop(loglik, P, gen.dirichlet(np.ones(M))) is None
+
+
+def _block_diagonal_transitions():
+    P = np.zeros((4, 4))
+    P[:2, :2] = [[0.9, 0.1], [0.2, 0.8]]
+    P[2:, 2:] = [[0.7, 0.3], [0.4, 0.6]]
+    return P
+
+
+@pytest.mark.parametrize("T", [2, 57, 600])
+def test_filter_matches_per_period_loop_on_degenerate_chains(T):
+    gen = np.random.default_rng(T)
+    # a frozen chain in the regime that is 700 nats below the other one
+    loglik = np.zeros((T, 2))
+    loglik[:, 1] = -700.0
+    assert _assert_filter_matches_loop(loglik, np.eye(2), np.array([0.0, 1.0])) is None
+    # switches of probability 1e-300, with either regime far below the other
+    P = np.array([[1.0, 1e-300], [1e-300, 1.0]])
+    for low in (0, 1):
+        loglik = gen.normal(size=(T, 2))
+        loglik[:, low] -= 700.0
+        for pi0 in ([0.0, 1.0], [0.5, 0.5]):
+            assert _assert_filter_matches_loop(loglik, P, np.array(pi0)) is None
+    # a reducible chain that starts in the block 30 nats below the other
+    loglik = gen.normal(size=(T, 4))
+    loglik[:, :2] -= 30.0
+    assert _assert_filter_matches_loop(loglik, _block_diagonal_transitions(), np.eye(4)[0]) is None
+    # an initial distribution with zeros
+    loglik = gen.normal(size=(T, 3))
+    P = gen.dirichlet(np.ones(3), size=3)
+    assert _assert_filter_matches_loop(loglik, P, np.array([0.0, 0.0, 1.0])) is None
+
+
+def test_filter_errors_name_the_first_bad_period_like_the_loop():
+    # regime 0 is impossible at period 6 and the chain cannot leave it
+    loglik = np.zeros((12, 2))
+    loglik[5, 0] = -np.inf
+    pi0 = np.array([1.0, 0.0])
+    # a period where every regime is impossible, before, at and after the collapse
+    for period, message in [
+        (None, "filter collapsed at period 6"),
+        (3, "all regimes have zero likelihood at period 3"),
+        (6, "all regimes have zero likelihood at period 6"),
+        (9, "filter collapsed at period 6"),
+    ]:
+        bad = loglik.copy()
+        if period is not None:
+            bad[period - 1] = -np.inf
+        assert _assert_filter_matches_loop(bad, np.eye(2), pi0) == message
+    nan = np.zeros((3, 2))
+    nan[1, 0] = np.nan
+    assert _assert_filter_matches_loop(nan, np.eye(2), np.array([0.5, 0.5])) == (
+        "all regimes have zero likelihood at period 2"
+    )
+    assert _assert_filter_matches_loop(np.zeros((3, 2)), np.eye(2), np.zeros(2)) == (
+        "filter collapsed at period 1"
+    )
+
+
 def test_logml_invariant_to_relabeling():
     rng = np.random.default_rng(55)
     loglik = rng.normal(size=(10, 3))

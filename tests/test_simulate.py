@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from mssvar.data import load_dataset
 from mssvar.simulate import (
     DgpTruth,
     companion_matrix,
+    follow,
     generate_dgp,
     simulate_observations,
+    simulate_regimes,
     spectral_radius,
     write_csv,
 )
@@ -153,3 +155,49 @@ def test_csv_round_trip(tmp_path):
     assert_allclose(loaded.y, ds.y, atol=0)
     assert_allclose(loaded.x, ds.x, atol=0)
     assert loaded.dates[0] != ""
+
+
+def _follow_loop(first, nxt):
+    """The step-by-step reference walk of a successor table."""
+    batch, (steps, M) = nxt.shape[:-2], nxt.shape[-2:]
+    s = np.empty((*batch, steps + 1), dtype=np.int64)
+    s[..., 0] = first
+    for idx in np.ndindex(*batch):
+        for t in range(steps):
+            s[idx + (t + 1,)] = nxt[idx + (t, s[idx + (t,)])]
+    return s
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 57, 600])
+def test_follow_matches_step_by_step_walk(batch, steps):
+    gen = np.random.default_rng(len(batch) * 1000 + steps)
+    for M in (1, 2, 3, 4):
+        nxt = gen.integers(0, M, size=(*batch, steps, M))
+        first = gen.integers(0, M, size=batch)
+        got = follow(first, nxt)
+        assert got.dtype == np.int64
+        assert_array_equal(got, _follow_loop(first, nxt))
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("T", [0, 1, 2, 57])
+def test_simulate_regimes_matches_per_period_draws(batch, T):
+    gen = np.random.default_rng(len(batch) * 100 + T)
+    for M in (1, 2, 3, 4):
+        first_probs = gen.dirichlet(np.ones(M), size=batch)
+        P = gen.dirichlet(np.full(M, 0.5), size=M)
+        seed = int(gen.integers(1 << 31))
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        u = ref_rng.random((*batch, T))
+        want = np.empty((*batch, T), dtype=np.int64)
+        for idx in np.ndindex(*batch):
+            probs = first_probs[idx]
+            for t in range(T):
+                cum = np.cumsum(probs)
+                want[idx + (t,)] = min(int(np.searchsorted(cum, u[idx + (t,)], side="right")), M - 1)
+                probs = P[want[idx + (t,)]]
+        got = simulate_regimes(first_probs, P, T, rng)
+        assert got.dtype == np.int64
+        assert_array_equal(got, want)
+        assert rng.random() == ref_rng.random()  # both consumed the same uniforms
