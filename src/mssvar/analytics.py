@@ -86,11 +86,8 @@ def tvi_probabilities(store: DrawStore, equation: int) -> np.ndarray:
     K = store.config.patterns.K(equation)
     kappa = store.block("kappa")[:, equation, :].astype(np.int64)
     S, M = kappa.shape
-    out = np.empty((M, K))
-    for m in range(M):
-        counts = np.bincount(kappa[:, m], minlength=K)
-        out[m] = counts / S
-    return out
+    cells = np.arange(M) * K + kappa  # (S, M): regime m, pattern k
+    return np.bincount(cells.ravel(), minlength=M * K).reshape(M, K) / S
 
 
 def regime_probabilities(store: DrawStore) -> np.ndarray:
@@ -98,10 +95,8 @@ def regime_probabilities(store: DrawStore) -> np.ndarray:
     s = store.block("s").astype(np.int64)
     S, T = s.shape
     M = store.config.M
-    out = np.zeros((T, M))
-    for m in range(M):
-        out[:, m] = (s == m).sum(axis=0) / S
-    return out
+    cells = np.arange(T) * M + s  # (S, T): period t, regime m
+    return np.bincount(cells.ravel(), minlength=T * M).reshape(T, M) / S
 
 
 def joint_tvi_change_probability(store: DrawStore, equations: list[int] | None = None) -> float:
@@ -128,7 +123,6 @@ def impulse_responses(
     shock: int,
     *,
     normalize: float | None = None,
-    normalize_variable: int | None = None,
     p: int | None = None,
 ) -> np.ndarray:
     """(..., horizon+1, N) responses of all variables to one structural shock.
@@ -137,8 +131,8 @@ def impulse_responses(
     draw axis.  The shock's column of ``B_m^{-1}`` is the impact, and the
     lag recursion of ``simulate`` carries it forward with the
     deterministic terms off.  With ``normalize`` given, the shock column is
-    rescaled so the impact response of ``normalize_variable`` (default: the
-    shock's own equation) equals that value.
+    rescaled so the impact response of the shock's own variable equals that
+    value.
     """
     N = B_m.shape[-1]
     if p is None:
@@ -147,10 +141,9 @@ def impulse_responses(
     pulse[..., 0, :] = np.linalg.inv(B_m)[..., :, shock]
     out = lag_recursion(A[..., : N * p], np.zeros((p, N)), pulse)
     if normalize is not None:
-        nv = shock if normalize_variable is None else normalize_variable
-        anchor = out[..., :1, nv : nv + 1]
+        anchor = out[..., :1, shock : shock + 1]
         if np.any(anchor == 0.0):
-            raise ValueError("impact response of the normalization variable is zero")
+            raise ValueError("impact response of the shocked variable is zero")
         out = out / anchor * normalize
     return out
 
@@ -162,12 +155,11 @@ def impulse_response_draws(
     shock: int,
     *,
     normalize: float | None = None,
-    normalize_variable: int | None = None,
 ) -> np.ndarray:
     """(draws, horizon+1, N) responses across the posterior sample."""
     return impulse_responses(
         store.block("A"), store.block("B")[:, regime], horizon, shock,
-        normalize=normalize, normalize_variable=normalize_variable, p=store.config.p,
+        normalize=normalize, p=store.config.p,
     )
 
 
@@ -208,18 +200,28 @@ class Summary:
     coverage: float
 
 
-def highest_density_interval(draws: np.ndarray, coverage: float = 0.68) -> tuple[float, float]:
-    """Shortest interval containing the requested share of the draws."""
-    x = np.sort(np.asarray(draws).ravel())
+def _hdi_columns(flat: np.ndarray, coverage: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column shortest intervals of (draws, columns) ``flat``, from one sort.
+
+    Each interval spans ``ceil(coverage * draws)`` sorted steps (at least
+    one); among equally short ones the lowest wins.
+    """
+    x = np.sort(flat, axis=0)
     n = x.shape[0]
     if n == 0:
         raise ValueError("no draws")
     k = max(1, int(np.ceil(coverage * n)))
     if k >= n:
-        return float(x[0]), float(x[-1])
-    widths = x[k:] - x[: n - k]
-    j = int(np.argmin(widths))
-    return float(x[j]), float(x[j + k])
+        return x[0], x[-1]
+    j = np.argmin(x[k:] - x[: n - k], axis=0)
+    cols = np.arange(x.shape[1])
+    return x[j, cols], x[j + k, cols]
+
+
+def highest_density_interval(draws: np.ndarray, coverage: float = 0.68) -> tuple[float, float]:
+    """Shortest interval containing the requested share of the draws."""
+    lo, hi = _hdi_columns(np.asarray(draws).reshape(-1, 1), coverage)
+    return float(lo[0]), float(hi[0])
 
 
 def summarize(draws: np.ndarray, coverage: float = 0.68) -> Summary:
@@ -230,14 +232,14 @@ def summarize(draws: np.ndarray, coverage: float = 0.68) -> Summary:
     med = np.median(flat, axis=0)
     lo = np.quantile(flat, tail, axis=0)
     hi = np.quantile(flat, 1.0 - tail, axis=0)
-    hdi = np.array([highest_density_interval(flat[:, j], coverage) for j in range(flat.shape[1])])
+    hdi_lo, hdi_hi = _hdi_columns(flat, coverage)
     shape = draws.shape[1:] or (1,)
     return Summary(
         median=med.reshape(shape),
         lower=lo.reshape(shape),
         upper=hi.reshape(shape),
-        hdi_lower=hdi[:, 0].reshape(shape),
-        hdi_upper=hdi[:, 1].reshape(shape),
+        hdi_lower=hdi_lo.reshape(shape),
+        hdi_upper=hdi_hi.reshape(shape),
         coverage=coverage,
     )
 

@@ -41,32 +41,28 @@ class ColumnTransform:
 class Dataset:
     """Aligned observation block for the conditional-likelihood model.
 
-    ``y`` holds the effective sample (after dropping ``p`` presample rows),
-    ``x`` the matching design rows ``[y_{t-1}, ..., y_{t-p}, d_t]`` and ``d``
-    the deterministic terms alone.  ``dates`` are opaque row labels.
+    ``y`` holds the effective sample (after dropping ``p`` presample rows)
+    and ``x`` the matching design rows ``[y_{t-1}, ..., y_{t-p}, d_t]``,
+    whose last ``d_dim`` columns are the deterministic terms.  ``dates``
+    are opaque row labels.
     """
 
     y: np.ndarray
     x: np.ndarray
-    d: np.ndarray
     p: int
     names: tuple[str, ...] = ()
     dates: tuple[str, ...] = field(default=())
     presample: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        y, x, d = np.asarray(self.y), np.asarray(self.x), np.asarray(self.d)
-        if y.ndim != 2 or x.ndim != 2 or d.ndim != 2:
-            raise ValueError("y, x and d must be 2-D arrays")
+        y, x = np.asarray(self.y), np.asarray(self.x)
+        if y.ndim != 2 or x.ndim != 2:
+            raise ValueError("y and x must be 2-D arrays")
         T, N = y.shape
-        d_dim = d.shape[1]
-        if x.shape != (T, N * self.p + d_dim):
+        if x.shape[0] != T or x.shape[1] < N * self.p:
             raise ValueError(
-                f"design shape {x.shape} does not match (T, N*p + d_dim) = "
-                f"({T}, {N * self.p + d_dim})"
+                f"design shape {x.shape} needs {T} rows and at least N*p = {N * self.p} columns"
             )
-        if d.shape[0] != T:
-            raise ValueError("deterministic block misaligned with y")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
             raise ValueError("non-finite values in dataset")
 
@@ -80,7 +76,7 @@ class Dataset:
 
     @property
     def d_dim(self) -> int:
-        return self.d.shape[1]
+        return self.x.shape[1] - self.N * self.p
 
     @property
     def n_coefficients(self) -> int:
@@ -123,6 +119,8 @@ def build_design(
     d_raw = np.asarray(d_raw, dtype=float)
     T_raw, N = y_raw.shape
     d_dim = d_raw.shape[1]
+    if d_raw.shape[0] != T_raw:
+        raise ValueError(f"deterministic block has {d_raw.shape[0]} rows but y has {T_raw}")
     if p < 1:
         raise ValueError("at least one lag required")
     if T_raw <= N * p + d_dim:
@@ -137,7 +135,6 @@ def build_design(
     return Dataset(
         y=y_raw[p:],
         x=x,
-        d=d_raw[p:],
         p=p,
         names=tuple(names),
         dates=tuple(dates[p:]) if dates else (),
@@ -150,7 +147,6 @@ def empty_dataset(N: int, p: int, d_dim: int = 1, names: tuple[str, ...] = ()) -
     return Dataset(
         y=np.zeros((0, N)),
         x=np.zeros((0, N * p + d_dim)),
-        d=np.zeros((0, d_dim)),
         p=p,
         names=tuple(names) or tuple(f"y{i + 1}" for i in range(N)),
         presample=np.zeros((p, N)),

@@ -46,7 +46,6 @@ def initialize_state(config: ModelConfig, dataset: Dataset, rng: np.random.Gener
     shrink_A = ShrinkageChain.at_prior_center(
         N, nu=config.nu_A, nu_gamma=config.nu_gamma_A, s_s=config.s_s_A, nu_s=config.nu_s_A
     )
-    modal = int(np.argmax(sv.MIXTURE.probs))
     return ParameterState(
         A=A,
         B=B,
@@ -58,7 +57,7 @@ def initialize_state(config: ModelConfig, dataset: Dataset, rng: np.random.Gener
         omega=np.zeros((N, M)) if config.fix_omega_at_zero else np.full((N, M), 0.1),
         rho=np.full(N, 0.5),
         sigma2_omega=np.ones(N) * config.omega_shape * config.omega_scale,
-        indicators=np.full((N, T), modal, dtype=np.int64),
+        indicators=np.full((N, T), sv.MODAL_COMPONENT, dtype=np.int64),
         shrink_B=shrink_B,
         shrink_A=shrink_A,
         omega_mean=np.zeros((N, M)),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sv
+from . import regimes, sv
 from .config import ModelConfig
 from .data import Dataset, build_design
 from .engine import gibbs_sweep
@@ -26,10 +26,15 @@ from .patterns import apply_pattern
 from .priors import ShrinkageChain, sample_gamma
 from .simulate import DgpTruth, simulate_observations, simulate_regimes, simulate_volatility
 from .state import ParameterState
+from .var import minnesota_moments
 
 
 def prior_draw(config: ModelConfig, T: int, rng: np.random.Generator) -> ParameterState:
-    """Ancestral draw of every unknown, hierarchy first."""
+    """Ancestral draw of every unknown, hierarchy first.
+
+    ``P`` and ``pi0`` are the sweep's own Dirichlet draws given an empty
+    regime path, which are their priors.
+    """
     N, M = config.N, config.M
     shrink_B = ShrinkageChain.from_prior(
         N, rng, nu=config.nu_B, nu_gamma=config.nu_gamma_B, s_s=config.s_s_B, nu_s=config.nu_s_B
@@ -37,18 +42,13 @@ def prior_draw(config: ModelConfig, T: int, rng: np.random.Generator) -> Paramet
     shrink_A = ShrinkageChain.from_prior(
         N, rng, nu=config.nu_A, nu_gamma=config.nu_gamma_A, s_s=config.s_s_A, nu_s=config.nu_s_A
     )
-    from .var import minnesota_moments
-
     mean_rows, omega_diag = minnesota_moments(N, config.p, config.d_dim)
     A = mean_rows + np.sqrt(shrink_A.gamma[:, None] * omega_diag[None, :]) * rng.standard_normal(
         mean_rows.shape
     )
-    P = np.empty((M, M))
-    for m in range(M):
-        alpha = np.ones(M)
-        alpha[m] += config.d_m
-        P[m] = rng.dirichlet(alpha)
-    pi0 = rng.dirichlet(np.ones(M))
+    no_path = np.zeros(0, dtype=np.int64)
+    P = regimes.draw_transition_matrix(no_path, M, config.d_m, rng)
+    pi0 = regimes.draw_initial_probabilities(no_path, M, rng)
     s = simulate_regimes(pi0, P, T, rng)
     sigma2_omega = sample_gamma(config.omega_shape, config.omega_scale, rng, size=N)
     if config.fix_omega_at_zero:
@@ -67,7 +67,6 @@ def prior_draw(config: ModelConfig, T: int, rng: np.random.Generator) -> Paramet
             pat = config.patterns.equations[n][k]
             b = np.sqrt(shrink_B.gamma[n]) * rng.standard_normal(pat.r)
             B[m, n, :] = apply_pattern(b, pat)
-    modal = int(np.argmax(sv.MIXTURE.probs))
     return ParameterState(
         A=A,
         B=B,
@@ -79,7 +78,7 @@ def prior_draw(config: ModelConfig, T: int, rng: np.random.Generator) -> Paramet
         omega=omega,
         rho=rho,
         sigma2_omega=sigma2_omega,
-        indicators=np.full((N, T), modal, dtype=np.int64),
+        indicators=np.full((N, T), sv.MODAL_COMPONENT, dtype=np.int64),
         shrink_B=shrink_B,
         shrink_A=shrink_A,
         omega_mean=np.zeros((N, M)),
@@ -143,20 +142,10 @@ def _statistics(state: ParameterState, config: ModelConfig) -> dict[str, float]:
 @dataclass
 class GewekeResult:
     z_scores: dict[str, float]
-    mc_means: dict[str, float]
-    sc_means: dict[str, float]
 
     @property
     def max_abs_z(self) -> float:
         return max(abs(z) for z in self.z_scores.values())
-
-    def summary(self) -> str:
-        lines = [f"{'statistic':<16} {'prior-sim':>12} {'gibbs-sim':>12} {'z':>8}"]
-        for name, z in sorted(self.z_scores.items()):
-            lines.append(
-                f"{name:<16} {self.mc_means[name]:>12.4f} {self.sc_means[name]:>12.4f} {z:>8.2f}"
-            )
-        return "\n".join(lines)
 
 
 def _batch_se(series: np.ndarray, n_batches: int) -> float:
@@ -211,15 +200,12 @@ def geweke_joint_test(
             data = simulate_given_state(state, config, presample, rng_sc)
             sc_rows.append(_statistics(state, config))
 
-    names = list(mc_rows[0])
-    z_scores, mc_means, sc_means = {}, {}, {}
-    for name in names:
+    z_scores = {}
+    for name in mc_rows[0]:
         a = np.array([row[name] for row in mc_rows])
         b = np.array([row[name] for row in sc_rows])
         se_a = float(np.sqrt(a.var(ddof=1) / a.shape[0]))
         se_b = _batch_se(b, batches)
         denom = np.hypot(se_a, se_b)
         z_scores[name] = float((a.mean() - b.mean()) / denom) if denom > 0 else 0.0
-        mc_means[name] = float(a.mean())
-        sc_means[name] = float(b.mean())
-    return GewekeResult(z_scores=z_scores, mc_means=mc_means, sc_means=sc_means)
+    return GewekeResult(z_scores=z_scores)

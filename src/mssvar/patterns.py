@@ -17,11 +17,10 @@ import numpy as np
 @dataclass(frozen=True)
 class Pattern:
     mask: tuple[bool, ...]
-    label: str = ""
 
     def __post_init__(self) -> None:
         if not any(self.mask):
-            raise ValueError(f"pattern {self.label or self.spec!r} restricts every entry")
+            raise ValueError(f"pattern {self.spec!r} restricts every entry")
 
     @property
     def N(self) -> int:
@@ -40,11 +39,11 @@ class Pattern:
         return "".join("*" if m else "0" for m in self.mask)
 
 
-def parse_pattern(text: str, label: str = "") -> Pattern:
+def parse_pattern(text: str) -> Pattern:
     text = text.strip()
     if not text or any(ch not in "*0" for ch in text):
         raise ValueError(f"pattern {text!r} must be a non-empty string over {{*, 0}}")
-    return Pattern(mask=tuple(ch == "*" for ch in text), label=label or text)
+    return Pattern(mask=tuple(ch == "*" for ch in text))
 
 
 def lower_triangular_pattern(n: int, N: int) -> Pattern:

@@ -24,8 +24,8 @@ from scipy import stats
 
 
 def sample_ig2(s: float, nu: float, rng: np.random.Generator, size=None) -> np.ndarray | float:
-    """Draw from IG2(s, nu) via s over a chi-squared variate."""
-    if s <= 0 or nu <= 0:
+    """Draw from IG2(s, nu) via s over a chi-squared variate; ``s`` and ``nu`` may be arrays."""
+    if np.any(s <= 0) or np.any(nu <= 0):
         raise ValueError("IG2 requires positive scale and degrees of freedom")
     return s / rng.chisquare(nu, size=size)
 
@@ -162,7 +162,7 @@ class ShrinkageChain:
     def from_prior(cls, N: int, rng: np.random.Generator, *, nu, nu_gamma, s_s, nu_s):
         s_gamma = float(sample_ig2(s_s, nu_s, rng))
         s = sample_gamma(nu_gamma, s_gamma, rng, size=N)
-        gamma = np.array([sample_ig2(si, nu, rng) for si in s])
+        gamma = sample_ig2(s, nu, rng, size=N)
         return cls(gamma=gamma, s=s, s_gamma=s_gamma, nu=nu, nu_gamma=nu_gamma, s_s=s_s, nu_s=nu_s)
 
 
@@ -176,6 +176,8 @@ def update_shrinkage_chain(
 
     ``sum_sq[n]`` is the summed squared magnitude of the zero-mean Gaussian
     coefficients tied to gamma[n]; ``counts[n]`` their total dimension.
+    Each level over the equations is one array draw, which consumes the
+    stream as one scalar draw per equation would.
     """
     sum_sq = np.asarray(sum_sq, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -184,12 +186,11 @@ def update_shrinkage_chain(
         raise ValueError("sum_sq and counts must have one entry per equation")
     if np.any(sum_sq < 0) or np.any(counts < 0):
         raise ValueError("sum_sq and counts must be non-negative")
-    gamma = np.empty(N)
-    for n in range(N):
-        gamma[n] = sample_ig2(chain.s[n] + sum_sq[n], chain.nu + counts[n], rng)
-    s = np.empty(N)
-    for n in range(N):
-        rate = 1.0 / chain.s_gamma + 0.5 / gamma[n]
-        s[n] = sample_gamma(chain.nu_gamma + 0.5 * chain.nu, 1.0 / rate, rng)
+    gamma = sample_ig2(chain.s + sum_sq, chain.nu + counts, rng)
+    rate = 1.0 / chain.s_gamma + 0.5 / gamma
+    # numpy's draw is scale times a unit-scale variate, so this equals a
+    # draw with scale 1 / rate bit for bit, without numpy's slower path for
+    # array-valued parameters
+    s = (1.0 / rate) * sample_gamma(chain.nu_gamma + 0.5 * chain.nu, 1.0, rng, size=N)
     s_gamma = float(sample_ig2(chain.s_s + 2.0 * s.sum(), chain.nu_s + 2.0 * N * chain.nu_gamma, rng))
     return replace(chain, gamma=gamma, s=s, s_gamma=s_gamma)

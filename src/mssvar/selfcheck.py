@@ -113,11 +113,11 @@ def check_filter_enumeration() -> bool:
     return _check("filter vs path enumeration", err < 1e-10, f"max abs err {err:.2e}")
 
 
-def check_pattern_marginal(n_instances: int = 8) -> bool:
+def check_pattern_marginal() -> bool:
     """Closed-form pattern marginal against Gauss-Legendre quadrature (r <= 2)."""
     rng = np.random.default_rng(11)
     worst = 0.0
-    for _ in range(n_instances):
+    for _ in range(8):
         r = int(rng.integers(1, 3))
         T_m = int(rng.integers(1, 9))
         gamma = float(rng.uniform(0.3, 3.0))
@@ -129,8 +129,9 @@ def check_pattern_marginal(n_instances: int = 8) -> bool:
     return _check("pattern marginal vs quadrature", worst < 1e-6, f"max abs log err {worst:.2e}")
 
 
-def check_distributions(n: int = 100_000) -> bool:
+def check_distributions() -> bool:
     """KS agreement between samplers and integrated hand-coded densities."""
+    n = 100_000
     rng = np.random.default_rng(23)
     crit = 1.63 / np.sqrt(n)
     ok = True

@@ -3,9 +3,8 @@ stored blocks."""
 
 from __future__ import annotations
 
-import copy
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,14 +86,6 @@ class ParameterState:
     omega_mean: np.ndarray
     omega_var: np.ndarray
     logml: float = 0.0
-
-    def copy(self) -> "ParameterState":
-        out = copy.copy(self)
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if isinstance(val, np.ndarray):
-                setattr(out, f.name, val.copy())
-        return out
 
     def validate(self, config: ModelConfig, T: int | None = None) -> None:
         """Raise if any structural invariant is broken."""

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import shutil
 import uuid
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import ModelConfig
-from .state import BLOCKS, block_sizes
+from .state import BLOCKS, ParameterState, block_sizes
 
 FORMAT_VERSION = 1
 
@@ -43,9 +43,6 @@ class DrawStore:
             raise KeyError(f"store has no block {name!r}")
         return self.blocks[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.blocks
-
 
 def block_layout(config: ModelConfig, T: int) -> dict[str, tuple[int, ...]]:
     """Per-draw shapes of every stored block (scalars take one element)."""
@@ -61,26 +58,13 @@ def allocate_store(config: ModelConfig, T: int, n_draws: int, chain_id: int = 0)
     return DrawStore(config=config, T=T, chain_id=chain_id, blocks=blocks)
 
 
-def _compile_record_draw():
-    """``record_draw(store, i, state)``: one assignment per table row, e.g.
-    ``b["gamma_B"][i] = state.shrink_B.gamma``, written out and compiled once.
-
-    The caches are cold when a draw is recorded between two sweeps.  A loop
-    over the table that fetches each attribute by name took about a quarter
-    longer per draw there than these compiled attribute loads.
-    """
-    lines = [
-        "def record_draw(store, i, state):",
-        '    """Copy every table block of ``state`` into draw ``i`` of ``store``."""',
-        "    b = store.blocks",
-    ] + [f"    b[{blk.name!r}][i] = state.{blk.attr}" for blk in BLOCKS]
-    source = "\n".join(lines)
-    namespace = {"__name__": __name__}
-    exec(source, namespace)
-    return namespace["record_draw"]
+_GETTERS = tuple((blk.name, operator.attrgetter(blk.attr)) for blk in BLOCKS)
 
 
-record_draw = _compile_record_draw()
+def record_draw(store: DrawStore, i: int, state: ParameterState) -> None:
+    """Copy every table block of ``state`` into draw ``i`` of ``store``."""
+    for name, get in _GETTERS:
+        store.blocks[name][i] = get(state)
 
 
 def _block_digest(arr: np.ndarray) -> str:
@@ -144,12 +128,8 @@ def _write_store(store: DrawStore, path: str) -> None:
         json.dump(manifest, fh, indent=1, sort_keys=True)
 
 
-def load_store(
-    path: str,
-    expected_config: ModelConfig | None = None,
-    *,
-    allow_config_mismatch: bool = False,
-) -> DrawStore:
+def load_store(path: str, expected_config: ModelConfig | None = None) -> DrawStore:
+    """Read and verify a store; one made under a config other than ``expected_config`` raises."""
     manifest_path = os.path.join(path, "manifest.json")
     if not os.path.exists(manifest_path):
         raise FileNotFoundError(f"{path}: not a draw store (missing manifest.json)")
@@ -161,10 +141,7 @@ def load_store(
     if config.digest() != manifest["config_digest"]:
         raise ValueError(f"{path}: config digest mismatch; manifest corrupted")
     if expected_config is not None and expected_config.digest() != manifest["config_digest"]:
-        msg = f"{path}: store was produced under a different config"
-        if not allow_config_mismatch:
-            raise ValueError(msg + " (pass allow_config_mismatch=True to load anyway)")
-        warnings.warn(msg)
+        raise ValueError(f"{path}: store was produced under a different config")
     blocks = {}
     for name, meta in manifest["blocks"].items():
         shape = tuple(meta["shape"])

@@ -10,7 +10,7 @@ regressions regime by regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import linalg
@@ -20,40 +20,23 @@ from .priors import categorical, sample_gig, sample_truncated_normal
 RESIDUAL_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class MixtureTable:
-    probs: np.ndarray
-    means: np.ndarray
-    variances: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (self.probs.shape == self.means.shape == self.variances.shape):
-            raise ValueError("mixture component arrays must align")
-        if abs(self.probs.sum() - 1.0) > 1e-12:
-            raise ValueError("mixture probabilities must sum to one")
-        if np.any(self.probs <= 0) or np.any(self.variances <= 0):
-            raise ValueError("mixture probabilities and variances must be positive")
-
-
-def log_chi2_mixture() -> MixtureTable:
-    """Ten-component normal approximation to the log chi-squared(1) density."""
-    return MixtureTable(
-        probs=np.array([
-            0.00609, 0.04775, 0.13057, 0.20674, 0.22715,
-            0.18842, 0.12047, 0.05591, 0.01575, 0.00115,
-        ]),
-        means=np.array([
-            1.92677, 1.34744, 0.73504, 0.02266, -0.85173,
-            -1.97278, -3.46788, -5.55246, -8.68384, -14.65000,
-        ]),
-        variances=np.array([
-            0.11265, 0.17788, 0.26768, 0.40611, 0.62699,
-            0.98583, 1.57469, 2.54498, 4.16591, 7.33342,
-        ]),
-    )
-
-
-MIXTURE = log_chi2_mixture()
+# ten-component normal approximation to the log chi-squared(1) density
+MIXTURE = SimpleNamespace(
+    probs=np.array([
+        0.00609, 0.04775, 0.13057, 0.20674, 0.22715,
+        0.18842, 0.12047, 0.05591, 0.01575, 0.00115,
+    ]),
+    means=np.array([
+        1.92677, 1.34744, 0.73504, 0.02266, -0.85173,
+        -1.97278, -3.46788, -5.55246, -8.68384, -14.65000,
+    ]),
+    variances=np.array([
+        0.11265, 0.17788, 0.26768, 0.40611, 0.62699,
+        0.98583, 1.57469, 2.54498, 4.16591, 7.33342,
+    ]),
+)
+# the most probable component, the indicators' starting value
+MODAL_COMPONENT = int(np.argmax(MIXTURE.probs))
 
 
 def conditional_variances(omega: np.ndarray, h: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -77,15 +60,14 @@ def draw_mixture_indicators(
     h: np.ndarray,
     s: np.ndarray,
     rng: np.random.Generator,
-    table: MixtureTable = MIXTURE,
 ) -> np.ndarray:
     """Component labels for every (equation, period) residual."""
     z = logu2 - omega[:, s] * h  # approximate log chi2(1) noise
-    dev = z[..., None] - table.means
+    dev = z[..., None] - MIXTURE.means
     logp = (
-        np.log(table.probs)
-        - 0.5 * np.log(2.0 * np.pi * table.variances)
-        - 0.5 * dev**2 / table.variances
+        np.log(MIXTURE.probs)
+        - 0.5 * np.log(2.0 * np.pi * MIXTURE.variances)
+        - 0.5 * dev**2 / MIXTURE.variances
     )
     logp -= logp.max(axis=-1, keepdims=True)
     probs = np.exp(logp)
@@ -109,15 +91,14 @@ def draw_log_volatilities(
     rho: float,
     s: np.ndarray,
     rng: np.random.Generator,
-    table: MixtureTable = MIXTURE,
 ) -> np.ndarray:
     """Joint draw of one equation's log-volatility path."""
     T = logu2_row.shape[0]
     if T == 0:
         return np.zeros(0)
     a = omega_row[s]  # per-period loading
-    v = table.variances[indicators_row]
-    ytil = logu2_row - table.means[indicators_row]
+    v = MIXTURE.variances[indicators_row]
+    ytil = logu2_row - MIXTURE.means[indicators_row]
     band = _ar1_band(rho, T)
     band[1, :] += a * a / v
     U = linalg.cholesky_banded(band, lower=False)
@@ -134,7 +115,6 @@ def draw_omega(
     M: int,
     sigma2_omega: float,
     rng: np.random.Generator,
-    table: MixtureTable = MIXTURE,
     sd_inflation: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Regime-wise conjugate draw of the volatility loadings.
@@ -142,8 +122,8 @@ def draw_omega(
     Returns the draws together with the conditional posterior means and
     variances, which downstream density-ratio evaluation averages over.
     """
-    v = table.variances[indicators_row]
-    ytil = logu2_row - table.means[indicators_row]
+    v = MIXTURE.variances[indicators_row]
+    ytil = logu2_row - MIXTURE.means[indicators_row]
     omega = np.empty(M)
     post_mean = np.empty(M)
     post_var = np.empty(M)

@@ -171,11 +171,12 @@ def test_irf_normalization_is_exact():
     B = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
     out = impulse_responses(A, B, 4, 1, normalize=-0.25)
     assert out[0, 1] == -0.25
-    out2 = impulse_responses(A, B, 4, 1, normalize=-0.25, normalize_variable=0)
-    assert out2[0, 0] == -0.25
+    out0 = impulse_responses(A, B, 4, 0, normalize=0.5)
+    assert out0[0, 0] == 0.5
+    # B^{-1} of a swap has a zero diagonal: no own-variable impact to scale by
     with pytest.raises(ValueError, match="zero"):
-        impulse_responses(np.zeros((2, 3)), np.eye(2), 2, 0, normalize=1.0,
-                          normalize_variable=1)
+        impulse_responses(np.zeros((2, 3)), np.array([[0.0, 1.0], [1.0, 0.0]]), 2, 0,
+                          normalize=1.0)
 
 
 def test_irf_matches_simulated_difference():
@@ -247,6 +248,17 @@ def test_summarize_constant_draws_zero_width():
     assert_allclose(out.median, 2.5)
     assert_allclose(out.upper - out.lower, 0.0, atol=1e-15)
     assert_allclose(out.hdi_upper - out.hdi_lower, 0.0, atol=1e-15)
+
+
+def test_summarize_hdi_matches_each_column_alone():
+    rng = np.random.default_rng(115)
+    draws = np.round(rng.normal(size=(100, 5, 3)), 1)  # rounding makes tied widths
+    draws[:, 0, 0] = 0.0
+    for coverage in (0.01, 0.68, 0.995):
+        out = summarize(draws, coverage)
+        for i, j in np.ndindex(5, 3):
+            lo, hi = highest_density_interval(draws[:, i, j], coverage)
+            assert (out.hdi_lower[i, j], out.hdi_upper[i, j]) == (lo, hi)
 
 
 def test_hdi_matches_normal_quantiles():

@@ -75,9 +75,20 @@ def test_build_design_rejects_short_samples():
 
 def test_dataset_shape_validation():
     with pytest.raises(ValueError, match="design shape"):
-        Dataset(y=np.ones((4, 2)), x=np.ones((4, 4)), d=np.ones((4, 1)), p=2)
+        Dataset(y=np.ones((4, 2)), x=np.ones((4, 3)), p=2)
+    with pytest.raises(ValueError, match="design shape"):
+        Dataset(y=np.ones((4, 2)), x=np.ones((3, 5)), p=2)
     with pytest.raises(ValueError, match="non-finite"):
-        Dataset(y=np.array([[np.nan, 1.0]]), x=np.ones((1, 3)), d=np.ones((1, 1)), p=1)
+        Dataset(y=np.array([[np.nan, 1.0]]), x=np.ones((1, 3)), p=1)
+    assert Dataset(y=np.ones((4, 2)), x=np.ones((4, 4)), p=2).d_dim == 0
+
+
+def test_build_design_rejects_misaligned_deterministic_terms():
+    with pytest.raises(ValueError, match="deterministic block has 7 rows but y has 8"):
+        build_design(np.ones((8, 2)), np.ones((7, 1)), p=1)
+    # a single row would broadcast over the design without the check
+    with pytest.raises(ValueError, match="deterministic block has 2 rows but y has 8"):
+        build_design(np.ones((8, 2)), np.ones((2, 1)), p=1)
 
 
 def test_empty_dataset_supports_prior_runs():
@@ -131,8 +142,8 @@ def test_load_dataset_variable_selection(tmp_path):
     ds = load_dataset(str(path), p=1, variables=["b", "a"], det_columns=["dum"])
     assert ds.names == ("b", "a")
     assert ds.d_dim == 2
-    assert_allclose(ds.d[:, 0], 1.0)  # intercept always first
-    assert_allclose(ds.d[:, 1], [1, 0, 1, 0, 1, 0, 1])
+    assert_allclose(ds.x[:, 2], 1.0)  # intercept first after the lags
+    assert_allclose(ds.x[:, 3], [1, 0, 1, 0, 1, 0, 1])
     assert_allclose(ds.y[:, 0], 2.0 * np.arange(1, 8))
 
     with pytest.raises(ValueError, match="not in file"):

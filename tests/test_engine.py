@@ -1,5 +1,7 @@
 """Sampler orchestration: initialization, sweep invariants, chain bookkeeping."""
 
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -54,7 +56,7 @@ def test_initialize_rank_deficient_design_errors():
     rng = np.random.default_rng(72)
     y = rng.normal(size=(20, 2))
     x = np.column_stack([y[:, :1], y[:, :1], np.ones(20)])  # duplicated column
-    ds = Dataset(y=y, x=x, d=np.ones((20, 1)), p=1)
+    ds = Dataset(y=y, x=x, p=1)
     with pytest.raises(ValueError, match="rank"):
         initialize_state(ModelConfig(N=2, p=1, draws=1), ds, np.random.default_rng(0))
 
@@ -173,34 +175,34 @@ def test_validate_rejects_broken_states():
     config = _small_config()
     good = initialize_state(config, ds, rng)
 
-    bad = good.copy()
+    bad = copy.deepcopy(good)
     bad.h = np.zeros((2, ds.T + 1))
     with pytest.raises(ValueError, match="shape"):
         bad.validate(config, ds.T)
 
-    bad = good.copy()
+    bad = copy.deepcopy(good)
     bad.P = np.array([[0.9, 0.2], [0.3, 0.7]])
     with pytest.raises(ValueError, match="sum to one"):
         bad.validate(config, ds.T)
 
-    bad = good.copy()
+    bad = copy.deepcopy(good)
     bad.B[0, 0, 1] = 0.5
     bad.kappa[0, 0] = 1  # pattern *0 restricts that entry
     with pytest.raises(ValueError, match="restricted"):
         bad.validate(config, ds.T)
 
-    bad = good.copy()
+    bad = copy.deepcopy(good)
     bad.rho = np.array([0.5, 1.0])
     with pytest.raises(ValueError, match="persistence"):
         bad.validate(config, ds.T)
 
-    bad = good.copy()
+    bad = copy.deepcopy(good)
     bad.B[1] = 0.0
     bad.B[1, 0, 0] = 1.0
     with pytest.raises(ValueError, match="singular"):
         bad.validate(config, ds.T)
 
-    bad = good.copy()
+    bad = copy.deepcopy(good)
     bad.A = bad.A * np.nan
     with pytest.raises(ValueError, match="non-finite"):
         bad.validate(config, ds.T)

@@ -55,8 +55,6 @@ def test_harness_reports_finite_panel():
     assert result.max_abs_z == max(abs(v) for v in result.z_scores.values())
     for key in ("omega_abs[0,0]", "sigma2_omega[0]", "kappa0[0,1]", "s_frac[0]"):
         assert key in result.z_scores
-    lines = result.summary().splitlines()
-    assert len(lines) == len(result.z_scores) + 1
 
 
 def test_harness_restarts_each_batch_from_a_prior_draw(monkeypatch):

@@ -303,6 +303,34 @@ def test_update_replays_the_hand_derived_conditionals():
     assert_allclose(got, expected, rtol=1e-12)
 
 
+def test_update_draws_every_equation_in_the_scalar_order():
+    # one array draw per level consumes the stream as one scalar draw per
+    # equation does, gamma[0..N-1] first and then s[0..N-1]
+    chain = ShrinkageChain(
+        gamma=np.array([0.7, 1.1, 2.0]), s=np.array([1.0, 0.4, 3.0]), s_gamma=2.0,
+        nu=4.0, nu_gamma=3.0, s_s=10.0, nu_s=10.0,
+    )
+    sum_sq, counts = np.array([1.5, 0.0, 7.25]), np.array([2.0, 0.0, 5.0])
+    out = update_shrinkage_chain(chain, sum_sq, counts, np.random.default_rng(41))
+
+    rng = np.random.default_rng(41)
+    gamma = [sample_ig2(chain.s[n] + sum_sq[n], chain.nu + counts[n], rng) for n in range(3)]
+    s = [sample_gamma(3.0 + 0.5 * 4.0, 1.0 / (1.0 / 2.0 + 0.5 / g), rng) for g in gamma]
+    s_gamma = sample_ig2(10.0 + 2.0 * sum(s), 10.0 + 2.0 * 3 * 3.0, rng)
+    assert out.gamma.tobytes() == np.array(gamma).tobytes()
+    assert out.s.tobytes() == np.array(s).tobytes()
+    assert out.s_gamma == s_gamma
+
+    got = ShrinkageChain.from_prior(3, np.random.default_rng(42), nu=5.0, nu_gamma=2.0,
+                                    s_s=4.0, nu_s=6.0)
+    rng = np.random.default_rng(42)
+    s_gamma = sample_ig2(4.0, 6.0, rng)
+    s = sample_gamma(2.0, s_gamma, rng, size=3)
+    gamma = [sample_ig2(si, 5.0, rng) for si in s]
+    assert got.s.tobytes() == s.tobytes()
+    assert got.gamma.tobytes() == np.array(gamma).tobytes()
+
+
 def test_shrinkage_chain_validates():
     with pytest.raises(ValueError):
         ShrinkageChain(

@@ -28,7 +28,7 @@ from mssvar.regimes import (
 def _toy_dataset(rng, N, T):
     y = rng.normal(size=(T, N))
     x = np.column_stack([rng.normal(size=(T, N)), np.ones(T)])
-    return Dataset(y=y, x=x, d=np.ones((T, 1)), p=1)
+    return Dataset(y=y, x=x, p=1)
 
 
 def _enumerate_paths(loglik, P, pi0):

@@ -8,7 +8,7 @@ from scipy import linalg, special, stats
 from mssvar.priors import sample_gig
 from mssvar.sv import (
     MIXTURE,
-    MixtureTable,
+    MODAL_COMPONENT,
     conditional_variances,
     draw_log_volatilities,
     draw_mixture_indicators,
@@ -28,6 +28,7 @@ def test_mixture_table_is_a_proper_log_chi2_approximation():
     var = (MIXTURE.probs * (MIXTURE.variances + MIXTURE.means**2)).sum() - mean**2
     assert abs(mean - (special.digamma(0.5) + np.log(2.0))) < 5e-4
     assert abs(var - np.pi**2 / 2.0) < 5e-3
+    assert MIXTURE.probs[MODAL_COMPONENT] == MIXTURE.probs.max()
 
 
 def test_mixture_draws_match_log_chi2_samples():
@@ -38,15 +39,6 @@ def test_mixture_draws_match_log_chi2_samples():
     direct = np.log(rng.chisquare(1.0, size=n))
     stat = stats.ks_2samp(mix, direct).statistic
     assert stat < KS_SLOPE * np.sqrt(2.0 / n)
-
-
-def test_mixture_table_validation():
-    with pytest.raises(ValueError):
-        MixtureTable(np.array([0.5, 0.4]), np.zeros(2), np.ones(2))
-    with pytest.raises(ValueError):
-        MixtureTable(np.array([0.5, 0.5]), np.zeros(2), np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        MixtureTable(np.array([1.0]), np.zeros(2), np.ones(2))
 
 
 def test_conditional_variances_values():
