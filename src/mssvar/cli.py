@@ -11,6 +11,7 @@ import functools
 import json
 import multiprocessing
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -20,7 +21,7 @@ from . import analytics, forecast
 from .config import load_config
 from .data import load_dataset
 from .engine import run_chain
-from .store import load_store, persist_store
+from .store import DrawStore, load_store, persist_store
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--thin", type=int, default=None, help="override config thin")
     p_est.add_argument("--seed", type=int, default=None, help="override config seed")
 
-    p_an = sub.add_parser("analyze", help="post-process a stored chain")
+    p_an = sub.add_parser("analyze", help="post-process a stored chain, or every chain of a run")
     p_an.add_argument("what", choices=["tvi", "regimes", "irf", "sddr", "moments"])
     p_an.add_argument("--store", required=True)
     p_an.add_argument("--data", help="CSV path (required for moments)")
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--shock", type=int, default=None, help="1-based shock index")
     p_an.add_argument("--horizon", type=int, default=24)
     p_an.add_argument("--normalize", type=float, default=None)
-    p_an.add_argument("--out", help="optional JSON output path")
+    p_an.add_argument("--out", help="optional CSV output path (JSON goes to stdout otherwise)")
 
     p_fc = sub.add_parser("forecast", help="rolling re-estimation forecast evaluation")
     _add_common(p_fc)
@@ -149,12 +150,40 @@ def _cmd_estimate(args) -> int:
 
 
 def _load_store_arg(path: str):
+    """A chain directory alone, or every ``chainNN`` of a run directory pooled.
+
+    The chains of a run are read against the first one's config, which
+    raises on a mismatch, and must share its sample length.
+    """
     if os.path.exists(os.path.join(path, "manifest.json")):
         return load_store(path)
-    chain0 = os.path.join(path, "chain00")
-    if os.path.exists(os.path.join(chain0, "manifest.json")):
-        return load_store(chain0)
-    raise FileNotFoundError(f"{path}: no draw store found")
+    names = os.listdir(path) if os.path.isdir(path) else []
+    chains = [os.path.join(path, name)
+              for name in sorted(names, key=lambda name: (len(name), name))
+              if re.fullmatch(r"chain\d+", name)
+              and os.path.exists(os.path.join(path, name, "manifest.json"))]
+    if not chains:
+        raise FileNotFoundError(f"{path}: no draw store found")
+    first = load_store(chains[0])
+    stores = [first]
+    for chain in chains[1:]:
+        store = load_store(chain, expected_config=first.config)
+        if store.T != first.T:
+            raise ValueError(f"{chain}: T={store.T}, but {chains[0]} has T={first.T}")
+        stores.append(store)
+    blocks = {name: np.concatenate([st.blocks[name] for st in stores]) for name in first.blocks}
+    return DrawStore(config=first.config, T=first.T, chain_id=first.chain_id, blocks=blocks)
+
+
+def _check_indices(args, config) -> None:
+    """1-based ``--equation``, ``--shock`` and ``--regime`` in range; ``--horizon`` >= 0."""
+    for flag, value, upper in (("equation", args.equation, config.N),
+                               ("shock", args.shock, config.N),
+                               ("regime", args.regime, config.M)):
+        if value is not None and not 1 <= value <= upper:
+            raise ValueError(f"--{flag} must lie in 1..{upper}, got {value}")
+    if args.horizon < 0:
+        raise ValueError(f"--horizon must be at least 0, got {args.horizon}")
 
 
 def _emit(rows: list[list], payload: dict, out: str | None) -> None:
@@ -171,6 +200,7 @@ def _emit(rows: list[list], payload: dict, out: str | None) -> None:
 def _cmd_analyze(args) -> int:
     store = _load_store_arg(args.store)
     config = store.config
+    _check_indices(args, config)
     analytics.normalize_draws(store, "labels" if config.M > 1 else "sign-diag")
     if args.what == "tvi":
         eqs = [args.equation - 1] if args.equation else list(config.patterns.tvi_equations)
@@ -220,7 +250,7 @@ def _cmd_analyze(args) -> int:
     elif args.what == "sddr":
         rows = [["equation", "regime", "log_sddr"]]
         payload = {}
-        for n in range(config.N):
+        for n in [args.equation - 1] if args.equation else range(config.N):
             for m in range(config.M):
                 val = float(analytics.heteroskedasticity_sddr(store, n, m))
                 rows.append([n + 1, m + 1, repr(val)])

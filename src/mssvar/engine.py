@@ -79,9 +79,11 @@ def gibbs_sweep(
     pats = config.patterns
     eps = dataset.y - dataset.x @ state.A.T  # (T, N)
 
-    # (1) regime path
+    # (1) regime path.  An empty sample has no likelihood to evaluate, and
+    # its B may start singular (a candidate that zeroes a whole start row),
+    # which regime_loglik_matrix rejects; the row draw in (6) repairs it.
     if T > 0:
-        loglik = regimes.regime_loglik_matrix(dataset, state.A, state.B, state.omega, state.h)
+        loglik = regimes.regime_loglik_matrix(eps, state.B, state.omega, state.h)
         if M == 1:
             state.s = np.zeros(T, dtype=np.int64)
             state.logml = float(loglik[:, 0].sum())
@@ -97,20 +99,15 @@ def gibbs_sweep(
     state.P = regimes.draw_transition_matrix(s, M, config.d_m, rng)
     state.pi0 = regimes.draw_initial_probabilities(s, M, rng)
 
-    # (3) mixture indicators for the volatility linearization
-    if T > 0:
-        U = np.einsum("tij,tj->ti", state.B[s], eps).T  # (N, T) structural residuals
-        logu2 = sv.log_squared(U)
-        state.indicators = sv.draw_mixture_indicators(logu2, state.omega, state.h, s, rng)
-    else:
-        logu2 = np.zeros((N, 0))
-        state.indicators = np.zeros((N, 0), dtype=np.int64)
+    # (3) mixture indicators, and the linear-Gaussian observations they give
+    U = np.einsum("tij,tj->ti", state.B[s], eps).T  # (N, T) structural residuals
+    logu2 = sv.log_squared(U)
+    state.indicators = sv.draw_mixture_indicators(logu2, state.omega, state.h, s, rng)
+    ytil, v = sv.linearize(logu2, state.indicators)
 
     # (4) log-volatility paths
     for n in range(N):
-        state.h[n] = sv.draw_log_volatilities(
-            logu2[n], state.indicators[n], state.omega[n], state.rho[n], s, rng
-        )
+        state.h[n] = sv.draw_log_volatilities(ytil[n], v[n], state.omega[n], state.rho[n], s, rng)
 
     # (5) loadings, their variance, and persistence
     for n in range(N):
@@ -121,7 +118,7 @@ def gibbs_sweep(
             state.sigma2_omega[n] = sample_gamma(config.omega_shape, config.omega_scale, rng)
         else:
             omega_n, mean_n, var_n = sv.draw_omega(
-                state.h[n], logu2[n], state.indicators[n], s, M,
+                state.h[n], ytil[n], v[n], s, M,
                 state.sigma2_omega[n], rng, sd_inflation=omega_sd_inflation,
             )
             state.omega[n] = omega_n
@@ -165,7 +162,7 @@ def gibbs_sweep(
     state.shrink_B = update_shrinkage_chain(state.shrink_B, sum_sq, counts, rng)
 
     # (8) autoregressive coefficients
-    sigma2 = sv.conditional_variances(state.omega, state.h, s) if T > 0 else np.zeros((N, 0))
+    sigma2 = sv.conditional_variances(state.omega, state.h, s)
     state.A = var.draw_autoregressive(dataset, state.B, s, sigma2, state.shrink_A.gamma, rng)
 
     # (9) autoregressive shrinkage hierarchy

@@ -70,6 +70,24 @@ def sample_gig(lam: float, chi: float, psi: float, rng: np.random.Generator) -> 
     return float(stats.geninvgauss.rvs(lam, b, scale=np.sqrt(chi / psi), random_state=rng))
 
 
+_CHOL_JITTER = 1e-10
+
+
+def precision_cholesky(S: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a precision; if that fails, of the precision
+    plus a ridge of ``_CHOL_JITTER`` times its mean diagonal."""
+    try:
+        return np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        pass
+    r = S.shape[0]
+    jitter = _CHOL_JITTER * np.trace(S) / r
+    try:
+        return np.linalg.cholesky(S + jitter * np.eye(r))
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("precision not positive definite even after jitter") from None
+
+
 def categorical(probs: np.ndarray, u) -> np.ndarray:
     """Inverse-CDF categorical draws over the last axis of ``probs`` (..., K).
 

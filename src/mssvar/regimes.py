@@ -6,23 +6,20 @@ import functools
 
 import numpy as np
 
-from .data import Dataset
 from .priors import categorical
 from .simulate import follow
-from .sv import conditional_variances
 
 _LOG2PI = np.log(2.0 * np.pi)
 
 
 def regime_loglik_matrix(
-    dataset: Dataset,
-    A: np.ndarray,
+    eps: np.ndarray,
     B: np.ndarray,
     omega: np.ndarray,
     h: np.ndarray,
 ) -> np.ndarray:
-    """(T, M) log densities of each observation under each regime."""
-    eps = dataset.y - dataset.x @ A.T
+    """(T, M) log densities of each observation under each regime, from the
+    (T, N) reduced-form residuals ``eps = y - x A'``; a singular ``B`` raises."""
     M = B.shape[0]
     T, N = eps.shape
     out = np.empty((T, M))

@@ -21,7 +21,19 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
 
 
 # ---------------------------------------------------------------------------
-# oracles, shared with the acceptance tests
+# oracles and the joint-distribution model, shared with the tests
+
+# The model of every joint-distribution test. Tight shrinkage keeps the
+# prior predictive numerically bounded: with loose hyperpriors the
+# unit-mean prior on the own lag puts real mass on explosive systems and
+# the resimulation cycle overflows float64.
+GEWEKE_CONFIG = ModelConfig(
+    N=2, p=1, M=2,
+    patterns=build_pattern_set({0: ["**", "*0"]}, 2),
+    nu_B=60.0, nu_gamma_B=60.0, s_s_B=55.0, nu_s_B=60.0,
+    nu_A=60.0, nu_gamma_A=60.0, s_s_A=2.2, nu_s_A=60.0,
+    omega_shape=3.0, omega_scale=0.1,
+)
 
 
 def enumerate_regime_marginals(
@@ -184,19 +196,9 @@ def check_store_roundtrip() -> bool:
 
 
 def check_geweke(fast: bool) -> bool:
-    # Tight shrinkage keeps the prior predictive numerically bounded: with
-    # loose hyperpriors the unit-mean prior on the own lag puts real mass on
-    # explosive systems and the resimulation cycle overflows float64.
-    config = ModelConfig(
-        N=2, p=1, M=2,
-        patterns=build_pattern_set({0: ["**", "*0"]}, 2),
-        nu_B=60.0, nu_gamma_B=60.0, s_s_B=55.0, nu_s_B=60.0,
-        nu_A=60.0, nu_gamma_A=60.0, s_s_A=2.2, nu_s_A=60.0,
-        omega_shape=3.0, omega_scale=0.1,
-    )
     cycles = 2_000 if fast else 20_000
     bound = 5.0 if fast else 4.0
-    result = geweke_joint_test(config, cycles, np.random.default_rng(5), T=30)
+    result = geweke_joint_test(GEWEKE_CONFIG, cycles, np.random.default_rng(5), T=30)
     z = result.max_abs_z
     return _check(
         "joint-distribution test", z < bound, f"max |z| {z:.2f} over {len(result.z_scores)} stats"

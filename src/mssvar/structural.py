@@ -14,19 +14,18 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg, special
 
-from .priors import categorical
-
-_CHOL_JITTER = 1e-10
+from .priors import categorical, precision_cholesky
 
 
 def row_cofactors(B: np.ndarray, n: int) -> np.ndarray:
-    """Cofactors of row ``n``: det of B with row n replaced by e_i, for each i."""
+    """Cofactors of row ``n``: det of B with row n replaced by e_i, for each i.
+
+    A 1 x 1 ``B`` has the one cofactor 1.0, the determinant of an empty minor.
+    """
     B = np.asarray(B, dtype=float)
     N = B.shape[0]
     if B.shape != (N, N):
         raise ValueError("B must be square")
-    if N == 1:
-        return np.ones(1)
     rest = np.delete(B, n, axis=0)
     minors = np.stack([np.delete(rest, i, axis=1) for i in range(N)])
     dets = np.linalg.det(minors)
@@ -50,21 +49,6 @@ def row_posterior_precision(
     return S
 
 
-def _chol_with_jitter(S: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        pass
-    r = S.shape[0]
-    jitter = _CHOL_JITTER * np.trace(S) / r
-    try:
-        return np.linalg.cholesky(S + jitter * np.eye(r))
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(
-            "row precision not positive definite even after jitter"
-        ) from None
-
-
 def pattern_log_marginal(
     S: np.ndarray, w: np.ndarray, gamma: float, T_m: int
 ) -> float:
@@ -79,7 +63,7 @@ def pattern_log_marginal(
         raise ValueError("cofactor vector length must match precision dimension")
     if T_m < 0:
         raise ValueError("T_m must be non-negative")
-    L = _chol_with_jitter(S)
+    L = precision_cholesky(S)
     logdet_S = 2.0 * np.sum(np.log(np.diag(L)))
     out = (
         -0.5 * r * np.log(gamma)
@@ -119,7 +103,7 @@ def draw_row_coefficients(
     S = np.asarray(S, dtype=float)
     w = np.asarray(w, dtype=float)
     r = S.shape[0]
-    L = _chol_with_jitter(S)
+    L = precision_cholesky(S)
     if T_m == 0:
         z = rng.standard_normal(r)
         return linalg.solve_triangular(L, z, trans="T", lower=True)

@@ -75,30 +75,32 @@ def draw_mixture_indicators(
     return categorical(probs, rng.random(z.shape))
 
 
+def linearize(logu2: np.ndarray, indicators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Observations ``ytil = logu2 - mean`` and their variances ``v`` given the
+    mixture components: ``ytil = omega(s_t) h_t + N(0, v)``."""
+    return logu2 - MIXTURE.means[indicators], MIXTURE.variances[indicators]
+
+
 def _ar1_band(rho: float, T: int) -> np.ndarray:
     """Upper banded storage of the AR(1) prior precision (unit innovations, h_0 = 0)."""
     band = np.zeros((2, T))
     band[1, :] = 1.0 + rho * rho
-    band[1, -1] = 1.0
+    band[1, -1:] = 1.0  # a slice, so that T = 0 gives an empty band
     band[0, 1:] = -rho
     return band
 
 
 def draw_log_volatilities(
-    logu2_row: np.ndarray,
-    indicators_row: np.ndarray,
+    ytil: np.ndarray,
+    v: np.ndarray,
     omega_row: np.ndarray,
     rho: float,
     s: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Joint draw of one equation's log-volatility path."""
-    T = logu2_row.shape[0]
-    if T == 0:
-        return np.zeros(0)
+    """Joint draw of one equation's log-volatility path from its row of ``linearize``."""
+    T = ytil.shape[0]
     a = omega_row[s]  # per-period loading
-    v = MIXTURE.variances[indicators_row]
-    ytil = logu2_row - MIXTURE.means[indicators_row]
     band = _ar1_band(rho, T)
     band[1, :] += a * a / v
     U = linalg.cholesky_banded(band, lower=False)
@@ -109,8 +111,8 @@ def draw_log_volatilities(
 
 def draw_omega(
     h_row: np.ndarray,
-    logu2_row: np.ndarray,
-    indicators_row: np.ndarray,
+    ytil: np.ndarray,
+    v: np.ndarray,
     s: np.ndarray,
     M: int,
     sigma2_omega: float,
@@ -119,24 +121,20 @@ def draw_omega(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Regime-wise conjugate draw of the volatility loadings.
 
-    Returns the draws together with the conditional posterior means and
-    variances, which downstream density-ratio evaluation averages over.
+    ``ytil`` and ``v`` are the equation's row of ``linearize``; an empty
+    regime draws from the prior.  Returns the draws together with the
+    conditional posterior means and variances, which downstream
+    density-ratio evaluation averages over.
     """
-    v = MIXTURE.variances[indicators_row]
-    ytil = logu2_row - MIXTURE.means[indicators_row]
     omega = np.empty(M)
     post_mean = np.empty(M)
     post_var = np.empty(M)
     for m in range(M):
         sel = s == m
-        prec = 1.0 / sigma2_omega
-        if np.any(sel):
-            hm = h_row[sel]
-            vm = v[sel]
-            prec += np.sum(hm * hm / vm)
-            rhs = np.sum(hm * ytil[sel] / vm)
-        else:
-            rhs = 0.0
+        hm = h_row[sel]
+        vm = v[sel]
+        prec = 1.0 / sigma2_omega + np.sum(hm * hm / vm)
+        rhs = np.sum(hm * ytil[sel] / vm)
         var = 1.0 / prec
         post_mean[m] = var * rhs
         post_var[m] = var
@@ -155,11 +153,9 @@ def draw_omega_variance(
 
 def draw_rho(h_row: np.ndarray, rng: np.random.Generator) -> float:
     """Persistence of the log-volatility path, uniform prior on (-1, 1)."""
-    if h_row.shape[0] < 2:
-        return float(-1.0 + 2.0 * rng.random())
     hlag = h_row[:-1]
     denom = float(hlag @ hlag)
-    if denom == 0.0:
+    if denom == 0.0:  # a flat path, or one too short to have a lag
         return float(-1.0 + 2.0 * rng.random())
     mean = float(hlag @ h_row[1:]) / denom
     return sample_truncated_normal(mean, 1.0 / denom, -1.0, 1.0, rng)

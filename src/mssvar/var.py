@@ -6,8 +6,7 @@ import numpy as np
 from scipy import linalg
 
 from .data import Dataset
-
-_A_JITTER = 1e-10
+from .priors import precision_cholesky
 
 
 def minnesota_moments(N: int, p: int, d_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -36,38 +35,24 @@ def autoregressive_posterior(
     """Posterior mean (N, J) and Cholesky precision factor of the coefficients.
 
     The likelihood contributes ``sum_t (x_t x_t') (x) (B' D_t^{-1} B)`` to the
-    precision of the column-stacked coefficient vector; the prior adds an
-    independent ridge per row from the unit-root moments.
+    precision of the column-stacked coefficient vector (nothing when T = 0);
+    the prior adds an independent ridge per row from the unit-root moments.
     """
     N, J = dataset.N, dataset.n_coefficients
     mean_rows, omega_diag = minnesota_moments(N, dataset.p, dataset.d_dim)
     prior_prec = (1.0 / (gamma_A[:, None] * omega_diag[None, :])).T.reshape(-1)  # (J*N,)
     prior_mean = mean_rows.T.reshape(-1)
 
-    T = dataset.T
-    if T > 0:
-        Bs = B[s]  # (T, N, N)
-        inv_sig = (1.0 / sigma2).T  # (T, N)
-        W = np.einsum("tki,tk,tkj->tij", Bs, inv_sig, Bs)
-        data_prec = np.einsum("ta,tij,tb->aibj", dataset.x, W, dataset.x, optimize=True)
-        data_prec = data_prec.reshape(J * N, J * N)
-        rhs = np.einsum("ta,tij,tj->ai", dataset.x, W, dataset.y, optimize=True).reshape(-1)
-    else:
-        data_prec = np.zeros((J * N, J * N))
-        rhs = np.zeros(J * N)
+    Bs = B[s]  # (T, N, N)
+    inv_sig = (1.0 / sigma2).T  # (T, N)
+    W = np.einsum("tki,tk,tkj->tij", Bs, inv_sig, Bs)
+    data_prec = np.einsum("ta,tij,tb->aibj", dataset.x, W, dataset.x, optimize=True)
+    data_prec = data_prec.reshape(J * N, J * N)
+    rhs = np.einsum("ta,tij,tj->ai", dataset.x, W, dataset.y, optimize=True).reshape(-1)
 
     prec = data_prec + np.diag(prior_prec)
     rhs = rhs + prior_prec * prior_mean
-    try:
-        L = np.linalg.cholesky(prec)
-    except np.linalg.LinAlgError:
-        jitter = _A_JITTER * np.trace(prec) / prec.shape[0]
-        try:
-            L = np.linalg.cholesky(prec + jitter * np.eye(prec.shape[0]))
-        except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(
-                "autoregressive precision not positive definite after jitter"
-            ) from None
+    L = precision_cholesky(prec)
     mean = linalg.cho_solve((L, True), rhs)
     return mean.reshape(J, N).T, L
 

@@ -26,7 +26,7 @@ from mssvar.engine import run_chain
 from mssvar.geweke import geweke_joint_test
 from mssvar.patterns import build_pattern_set
 from mssvar.priors import ShrinkageChain, omega_prior_density_at_zero
-from mssvar.selfcheck import enumerate_regime_marginals, quadrature_log_marginal
+from mssvar.selfcheck import GEWEKE_CONFIG, enumerate_regime_marginals, quadrature_log_marginal
 from mssvar.simulate import DgpTruth, companion_matrix, generate_dgp, simulate_observations
 from mssvar.state import ParameterState
 from mssvar.store import allocate_store, record_draw
@@ -89,29 +89,15 @@ def test_criterion_02_ffbs_matches_enumeration():
 # ---------------------------------------------------------------------------
 # 3. joint-distribution test of the full sweep
 
-# Tight shrinkage keeps the prior predictive numerically bounded: with the
-# loose defaults the unit-mean prior on the own lag puts real mass on
-# explosive systems, and the resimulation cycle overflows float64.
-_GEWEKE_CONFIG = dict(
-    N=2, p=1, M=2,
-    nu_B=60.0, nu_gamma_B=60.0, s_s_B=55.0, nu_s_B=60.0,
-    nu_A=60.0, nu_gamma_A=60.0, s_s_A=2.2, nu_s_A=60.0,
-    omega_shape=3.0, omega_scale=0.1,
-)
-
-
 def test_criterion_03_geweke_joint_distribution():
     t0 = time.perf_counter()
-    config = ModelConfig(patterns=build_pattern_set({0: ["**", "*0"]}, 2),
-                         **_GEWEKE_CONFIG)
-
-    clean = geweke_joint_test(config, 20_000, np.random.default_rng(7), T=30)
+    clean = geweke_joint_test(GEWEKE_CONFIG, 20_000, np.random.default_rng(7), T=30)
     monitored = ("omega[0,0]", "omega2[0,0]", "gamma_B[0]", "gamma_A[0]",
                  "P[0,0]", "A[0,0]", "kappa0[0,0]", "s_frac[0]")
     assert all(k in clean.z_scores for k in monitored)
     assert clean.max_abs_z < 4.0
 
-    mutated = geweke_joint_test(config, 20_000, np.random.default_rng(404), T=30,
+    mutated = geweke_joint_test(GEWEKE_CONFIG, 20_000, np.random.default_rng(404), T=30,
                                 omega_sd_inflation=np.sqrt(2.0))
     # pooled spread stats and the loadings-variance posterior carry the
     # most power; every per-entry second moment must also move

@@ -70,8 +70,9 @@ def test_sign_normalization_preserves_likelihood(posterior_store):
     B_raw = store.block("B")[i].copy()
     flipped = B_raw.copy()
     flipped[:, 0, :] *= -1.0  # re-flip one row in every regime
-    a = regime_loglik_matrix(ds, A, B_raw, omega, h)
-    b = regime_loglik_matrix(ds, A, flipped, omega, h)
+    eps = ds.y - ds.x @ A.T
+    a = regime_loglik_matrix(eps, B_raw, omega, h)
+    b = regime_loglik_matrix(eps, flipped, omega, h)
     assert_allclose(a, b, atol=1e-12)
 
 

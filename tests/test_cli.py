@@ -7,8 +7,9 @@ import os
 import numpy as np
 import pytest
 
+from mssvar import analytics
 from mssvar.cli import main
-from mssvar.store import load_store
+from mssvar.store import DrawStore, load_store
 
 CONFIG = """
 [model]
@@ -169,6 +170,72 @@ def test_analyze_irf_table(workspace, tmp_path):
     assert len(rows) == 1 + 7
     med0 = float(rows[1][1])  # impact response of variable 1, the shock's own
     assert abs(med0 - (-0.25)) < 1e-12
+
+
+def _regimes_csv(store_path, out):
+    assert main(["analyze", "regimes", "--store", str(store_path), "--out", str(out)]) == 0
+    return np.array([[float(v) for v in row[1:]] for row in list(csv.reader(open(out)))[1:]])
+
+
+def test_analyze_pools_every_chain_of_a_run(workspace, tmp_path):
+    _, cfg, data, _ = workspace
+    run = tmp_path / "run"
+    assert main(["estimate", "--config", str(cfg), "--data", str(data), "--out", str(run),
+                 "--draws", "6", "--burnin", "2", "--chains", "2"]) == 0
+    stores = [load_store(str(run / f"chain0{c}")) for c in range(2)]
+    pooled = DrawStore(config=stores[0].config, T=stores[0].T, blocks={
+        name: np.concatenate([st.blocks[name] for st in stores]) for name in stores[0].blocks})
+    want = analytics.regime_probabilities(analytics.normalize_draws(pooled, "labels"))
+    assert np.array_equal(_regimes_csv(run, tmp_path / "pooled.csv"), want)
+    # a chain directory still reads alone
+    alone = analytics.regime_probabilities(analytics.normalize_draws(stores[1], "labels"))
+    assert np.array_equal(_regimes_csv(run / "chain01", tmp_path / "alone.csv"), alone)
+
+
+def test_analyze_rejects_chains_that_do_not_pool(workspace, tmp_path, capsys):
+    _, cfg, data, run = workspace
+    rows = list(csv.reader(open(data)))
+    short = tmp_path / "short.csv"
+    with open(short, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows[:41])  # header and 40 raw rows: T = 39
+    cases = (("shorter", short, [], "T=39, but"),
+             ("other_config", data, ["--draws", "5"], "different config"))
+    for name, source, extra, message in cases:
+        other = tmp_path / name
+        assert main(["estimate", "--config", str(cfg), "--data", str(source),
+                     "--out", str(other), *extra]) == 0
+        mixed = tmp_path / f"mixed_{name}"
+        mixed.mkdir()
+        os.symlink(run / "chain00", mixed / "chain00")
+        os.symlink(other / "chain00", mixed / "chain01")
+        assert main(["analyze", "regimes", "--store", str(mixed)]) == 1
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, allowed", [
+    (["irf", "--shock", "1", "--regime", "0"], "--regime", "1..2"),
+    (["irf", "--shock", "1", "--regime", "3"], "--regime", "1..2"),
+    (["irf", "--shock", "0"], "--shock", "1..2"),
+    (["irf", "--shock", "3"], "--shock", "1..2"),
+    (["irf", "--shock", "1", "--horizon", "-1"], "--horizon", "at least 0"),
+    (["tvi", "--equation", "0"], "--equation", "1..2"),
+    (["tvi", "--equation", "5"], "--equation", "1..2"),
+    (["sddr", "--equation", "3"], "--equation", "1..2"),
+])
+def test_analyze_rejects_out_of_range_indices(workspace, capsys, argv, flag, allowed):
+    _, _, _, run = workspace
+    assert main(["analyze", *argv, "--store", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and allowed in err
+
+
+def test_analyze_sddr_honours_equation(workspace, tmp_path):
+    _, _, _, run = workspace
+    out = tmp_path / "sddr.csv"
+    assert main(["analyze", "sddr", "--equation", "2", "--store", str(run),
+                 "--out", str(out)]) == 0
+    rows = list(csv.reader(open(out)))
+    assert [row[:2] for row in rows[1:]] == [["2", "1"], ["2", "2"]]
 
 
 def test_forecast_report(workspace, tmp_path):

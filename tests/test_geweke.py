@@ -3,21 +3,12 @@
 import numpy as np
 
 from mssvar import geweke
-from mssvar.config import ModelConfig
 from mssvar.geweke import geweke_joint_test, prior_draw
-from mssvar.patterns import build_pattern_set
+from mssvar.selfcheck import GEWEKE_CONFIG
 
 
 def _config(**kw):
-    base = dict(
-        N=2, p=1, M=2, draws=5, burnin=2, seed=7,
-        patterns=build_pattern_set({0: ["**", "*0"]}, 2),
-        nu_B=60.0, nu_gamma_B=60.0, s_s_B=55.0, nu_s_B=60.0,
-        nu_A=60.0, nu_gamma_A=60.0, s_s_A=2.2, nu_s_A=60.0,
-        omega_shape=3.0, omega_scale=0.1,
-    )
-    base.update(kw)
-    return ModelConfig(**base)
+    return GEWEKE_CONFIG.with_updates(draws=5, burnin=2, seed=7, **kw)
 
 
 def test_prior_draw_shapes_and_validity():

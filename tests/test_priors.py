@@ -15,6 +15,7 @@ from mssvar.priors import (
     categorical,
     gig_log_density,
     omega_prior_density_at_zero,
+    precision_cholesky,
     sample_gamma,
     sample_gig,
     sample_ig2,
@@ -27,6 +28,24 @@ KS_SLOPE = 1.63  # asymptotic 1% critical value of sqrt(n) * D_n
 
 def _ks(draws, cdf):
     return stats.kstest(draws, cdf).statistic
+
+
+# ---------------------------------------------------------------------------
+# the jittered Cholesky factor of a precision
+
+
+def test_precision_cholesky_ridges_a_rank_deficient_matrix():
+    S = np.array([[1.0, 1.0], [1.0, 1.0]])  # positive semi-definite, rank one
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(S)
+    L = precision_cholesky(S)
+    assert_allclose(L @ L.T, S + 1e-10 * np.eye(2), rtol=0, atol=1e-15)
+
+
+def test_precision_cholesky_rejects_an_indefinite_matrix():
+    S = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite even after jitter"):
+        precision_cholesky(S)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@ regime path at T=8, the likelihood matrix against dense multivariate
 normal evaluation, and the transition machinery against hand counts.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -23,48 +21,13 @@ from mssvar.regimes import (
     transition_counts,
     transition_posterior_alpha,
 )
+from mssvar.selfcheck import enumerate_regime_marginals
 
 
 def _toy_dataset(rng, N, T):
     y = rng.normal(size=(T, N))
     x = np.column_stack([rng.normal(size=(T, N)), np.ones(T)])
     return Dataset(y=y, x=x, p=1)
-
-
-def _enumerate_paths(loglik, P, pi0):
-    """Exact filtered/smoothed probabilities and logml by summing all M^T paths."""
-    T, M = loglik.shape
-    post = {}
-    total = -np.inf
-    for path in itertools.product(range(M), repeat=T):
-        lp = np.log(pi0[path[0]]) + loglik[0, path[0]]
-        for t in range(1, T):
-            lp += np.log(P[path[t - 1], path[t]]) + loglik[t, path[t]]
-        post[path] = lp
-        total = np.logaddexp(total, lp)
-    smoothed = np.zeros((T, M))
-    for path, lp in post.items():
-        w = np.exp(lp - total)
-        for t, m in enumerate(path):
-            smoothed[t, m] += w
-    # filtered marginals: renormalize over prefixes
-    filtered = np.zeros((T, M))
-    for t in range(T):
-        pref = {}
-        for path, _ in post.items():
-            key = path[: t + 1]
-            if key in pref:
-                continue
-            lp = np.log(pi0[key[0]]) + loglik[0, key[0]]
-            for u in range(1, t + 1):
-                lp += np.log(P[key[u - 1], key[u]]) + loglik[u, key[u]]
-            pref[key] = lp
-        vals = np.array(list(pref.values()))
-        norm = np.exp(vals - vals.max())
-        norm /= norm.sum()
-        for key, w in zip(pref.keys(), norm):
-            filtered[t, key[-1]] += w
-    return filtered, smoothed, total
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +38,8 @@ def test_loglik_single_regime_matches_univariate_normals():
     rng = np.random.default_rng(50)
     ds = _toy_dataset(rng, 2, 12)
     A = np.zeros((2, ds.n_coefficients))
-    out = regime_loglik_matrix(ds, A, np.eye(2)[None], np.zeros((2, 1)), np.zeros((2, ds.T)))
+    out = regime_loglik_matrix(ds.y - ds.x @ A.T, np.eye(2)[None], np.zeros((2, 1)),
+                               np.zeros((2, ds.T)))
     want = stats.norm.logpdf(ds.y).sum(axis=1)
     assert_allclose(out[:, 0], want, atol=1e-12)
 
@@ -87,8 +51,8 @@ def test_loglik_matches_dense_multivariate_normal():
     B = rng.normal(size=(2, 3, 3)) + 2.0 * np.eye(3)
     omega = rng.normal(size=(3, 2)) * 0.5
     h = rng.normal(size=(3, ds.T)) * 0.4
-    out = regime_loglik_matrix(ds, A, B, omega, h)
     eps = ds.y - ds.x @ A.T
+    out = regime_loglik_matrix(eps, B, omega, h)
     for m in range(2):
         Binv = np.linalg.inv(B[m])
         for t in range(ds.T):
@@ -106,7 +70,7 @@ def test_loglik_duplicate_regimes_give_identical_columns():
     B = np.stack([B1, B1])
     omega = np.tile(rng.normal(size=(2, 1)), (1, 2))
     h = rng.normal(size=(2, ds.T))
-    out = regime_loglik_matrix(ds, A, B, omega, h)
+    out = regime_loglik_matrix(ds.y - ds.x @ A.T, B, omega, h)
     assert_allclose(out[:, 0], out[:, 1])
 
 
@@ -115,9 +79,7 @@ def test_loglik_singular_structural_matrix_errors():
     ds = _toy_dataset(rng, 2, 5)
     B = np.array([[[1.0, 1.0], [1.0, 1.0]]])
     with pytest.raises(np.linalg.LinAlgError):
-        regime_loglik_matrix(
-            ds, np.zeros((2, ds.n_coefficients)), B, np.zeros((2, 1)), np.zeros((2, ds.T))
-        )
+        regime_loglik_matrix(ds.y, B, np.zeros((2, 1)), np.zeros((2, ds.T)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +114,7 @@ def test_filter_matches_full_enumeration():
     G = rng.uniform(0.5, 2.0, size=(M, M))
     P = G / G.sum(axis=1, keepdims=True)
     pi0 = np.array([0.35, 0.65])
-    want_f, want_s, want_logml = _enumerate_paths(loglik, P, pi0)
+    want_f, want_s, want_logml = enumerate_regime_marginals(loglik, P, pi0)
     filtered, logml = forward_filter(loglik, P, pi0)
     assert_allclose(filtered, want_f, atol=1e-10)
     assert abs(logml - want_logml) < 1e-10

@@ -15,6 +15,7 @@ from mssvar.sv import (
     draw_omega,
     draw_omega_variance,
     draw_rho,
+    linearize,
     log_squared,
 )
 
@@ -123,7 +124,7 @@ def test_path_draw_matches_dense_moments():
     n = 40_000
     draws = np.empty((n, T))
     for k in range(n):
-        draws[k] = draw_log_volatilities(logu2, indicators, omega, 0.7, s, rng)
+        draws[k] = draw_log_volatilities(*linearize(logu2, indicators), omega, 0.7, s, rng)
     se_mean = np.sqrt(np.diag(cov) / n)
     assert np.max(np.abs(draws.mean(axis=0) - mean) / se_mean) < 5.0
     got = np.cov(draws.T)
@@ -143,7 +144,8 @@ def test_path_draw_replays_the_banded_solve():
     U = np.linalg.cholesky(np.linalg.inv(cov)).T  # scipy banded uses upper form
     z = np.random.default_rng(77).standard_normal(T)
     want = mean + linalg.solve_triangular(U, z, lower=False)
-    got = draw_log_volatilities(logu2, indicators, omega, rho, s, np.random.default_rng(77))
+    got = draw_log_volatilities(*linearize(logu2, indicators), omega, rho, s,
+                                np.random.default_rng(77))
     assert_allclose(got, want, atol=1e-10)
 
 
@@ -154,7 +156,8 @@ def test_path_prior_when_loading_is_zero():
     T, rho = 4, 0.6
     n = 60_000
     draws = np.empty((n, T))
-    args = (np.zeros(T), np.zeros(T, dtype=int), np.zeros(1), rho, np.zeros(T, dtype=int))
+    args = (*linearize(np.zeros(T), np.zeros(T, dtype=int)), np.zeros(1), rho,
+            np.zeros(T, dtype=int))
     for k in range(n):
         draws[k] = draw_log_volatilities(*args, rng)
     var_t = np.cumsum(rho ** (2 * np.arange(T)))  # (1 - rho^(2t)) / (1 - rho^2)
@@ -164,11 +167,15 @@ def test_path_prior_when_loading_is_zero():
 
 
 def test_path_draw_empty_series():
+    # the general banded code at T = 0: an empty path, and no variate drawn
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
     out = draw_log_volatilities(
-        np.zeros(0), np.zeros(0, dtype=int), np.zeros(1), 0.5,
-        np.zeros(0, dtype=int), np.random.default_rng(0),
+        *linearize(np.zeros(0), np.zeros(0, dtype=int)), np.zeros(1), 0.5,
+        np.zeros(0, dtype=int), rng,
     )
     assert out.shape == (0,)
+    assert rng.bit_generator.state == before
 
 
 def test_loading_draw_matches_conjugate_formula():
@@ -178,7 +185,7 @@ def test_loading_draw_matches_conjugate_formula():
     s = np.array([0, 1, 0])
     sigma2_omega = 0.8
     omega, post_mean, post_var = draw_omega(
-        h, logu2, indicators, s, 2, sigma2_omega, np.random.default_rng(55)
+        h, *linearize(logu2, indicators), s, 2, sigma2_omega, np.random.default_rng(55)
     )
     v = MIXTURE.variances[indicators]
     ytil = logu2 - MIXTURE.means[indicators]
@@ -195,7 +202,7 @@ def test_loading_draw_matches_conjugate_formula():
 
 def test_loading_draw_empty_regime_returns_prior():
     omega, post_mean, post_var = draw_omega(
-        np.array([1.0]), np.array([0.2]), np.array([3]), np.array([0]), 2, 2.5,
+        np.array([1.0]), *linearize(np.array([0.2]), np.array([3])), np.array([0]), 2, 2.5,
         np.random.default_rng(56),
     )
     assert post_mean[1] == 0.0
@@ -203,7 +210,7 @@ def test_loading_draw_empty_regime_returns_prior():
 
 
 def test_loading_draw_sd_inflation_hook():
-    args = (np.array([1.0, 2.0]), np.array([0.1, -0.3]), np.array([4, 4]),
+    args = (np.array([1.0, 2.0]), *linearize(np.array([0.1, -0.3]), np.array([4, 4])),
             np.array([0, 0]), 1, 1.0)
     base, mean, var = draw_omega(*args, np.random.default_rng(9))
     wide, _, _ = draw_omega(*args, np.random.default_rng(9), sd_inflation=3.0)

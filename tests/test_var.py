@@ -3,7 +3,7 @@
 import numpy as np
 from numpy.testing import assert_allclose
 
-from mssvar.data import build_design, empty_dataset
+from mssvar.data import Dataset, build_design, empty_dataset
 from mssvar.var import autoregressive_posterior, draw_autoregressive, minnesota_moments
 
 
@@ -136,3 +136,15 @@ def test_draw_is_reproducible_and_finite():
     b = draw_autoregressive(*args, np.random.default_rng(99))
     assert a.shape == (2, ds.n_coefficients)
     assert np.array_equal(a, b)
+
+
+def test_singular_precision_takes_the_ridge():
+    # the lag column repeats the intercept and the prior is flat to rounding,
+    # so the precision is exactly [[4, 4], [4, 4]] and factors only after
+    # the ridge of 1e-10 times its mean diagonal
+    ds = Dataset(y=np.array([[1.0], [2.0], [0.0], [1.0]]), x=np.ones((4, 2)), p=1)
+    mean, L = autoregressive_posterior(
+        ds, np.ones((1, 1, 1)), np.zeros(4, dtype=int), np.ones((1, 4)), np.array([1e300])
+    )
+    assert_allclose(L @ L.T, np.full((2, 2), 4.0) + 4e-10 * np.eye(2), rtol=0, atol=1e-15)
+    assert np.all(np.isfinite(mean))
