@@ -106,8 +106,7 @@ def gibbs_sweep(
     ytil, v = sv.linearize(logu2, state.indicators)
 
     # (4) log-volatility paths
-    for n in range(N):
-        state.h[n] = sv.draw_log_volatilities(ytil[n], v[n], state.omega[n], state.rho[n], s, rng)
+    state.h = sv.draw_log_volatilities(ytil, v, state.omega, state.rho, s, rng)
 
     # (5) loadings, their variance, and persistence
     for n in range(N):
@@ -138,16 +137,18 @@ def gibbs_sweep(
             gamma = state.shrink_B.gamma[n]
             inv_sig = np.exp(-state.omega[n, m] * state.h[n, sel])
             crossprod = (eps_m * inv_sig[:, None]).T @ eps_m
-            cof = structural.row_cofactors(state.B[m], n)
+            cof = structural.row_cofactors(state.B[m], pats.cofactor_gathers[n])
             candidates = pats.equations[n]
-            mats = [(structural.row_posterior_precision(crossprod, pat.free_idx, gamma),
-                     cof[pat.free_idx]) for pat in candidates]
+            factors = [structural.factor_candidate(
+                structural.row_posterior_precision(crossprod, pat.free_idx, gamma),
+                cof[pat.free_idx], T_m) for pat in candidates]
             k = 0
             if len(candidates) > 1:
-                logms = [structural.pattern_log_marginal(S, w, gamma, T_m) for S, w in mats]
+                logms = [structural.pattern_log_marginal(L, what, gamma, T_m)
+                         for L, what in factors]
                 k = structural.draw_tvi_indicator(logms, rng)
             state.kappa[n, m] = k
-            b = structural.draw_row_coefficients(*mats[k], T_m, rng)
+            b = structural.draw_row_coefficients(*factors[k], T_m, rng)
             state.B[m, n, :] = apply_pattern(b, candidates[k])
 
     # (7) structural shrinkage hierarchy

@@ -10,6 +10,7 @@ coefficient vector ``b`` of length ``r`` expands to a full row ``b @ V``;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,13 +27,16 @@ class Pattern:
     def N(self) -> int:
         return len(self.mask)
 
-    @property
+    # computed once per pattern: the sweep reads both for every row draw
+    @cached_property
     def r(self) -> int:
         return int(sum(self.mask))
 
-    @property
+    @cached_property
     def free_idx(self) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.mask))
+        idx = np.flatnonzero(np.asarray(self.mask))
+        idx.flags.writeable = False
+        return idx
 
     @property
     def spec(self) -> str:
@@ -85,6 +89,24 @@ class PatternSet:
     @property
     def tvi_equations(self) -> tuple[int, ...]:
         return tuple(n for n in range(self.N) if self.K(n) > 1)
+
+    @cached_property
+    def cofactor_gathers(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """``cofactor_gather(N, n)`` for every equation n, built once."""
+        return tuple(cofactor_gather(self.N, n) for n in range(self.N))
+
+
+def cofactor_gather(N: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices that gather the N minors of row ``n`` of an
+    N x N matrix ``B`` as ``B[rows, cols]``, shape (N, N - 1, N - 1), and the
+    cofactor signs ``(-1)^(n + i)``; minor i drops row n and column i."""
+    keep = np.arange(N)
+    rows = np.delete(keep, n)[None, :, None]
+    cols = np.array([np.delete(keep, i) for i in range(N)]).reshape(N, 1, N - 1)
+    signs = (-1.0) ** (n + keep)
+    for a in (rows, cols, signs):
+        a.flags.writeable = False
+    return rows, cols, signs
 
 
 def build_pattern_set(

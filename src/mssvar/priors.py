@@ -8,6 +8,11 @@ Parameterizations used throughout:
 * ``Gamma(shape a, scale s)``: mean ``a * s``.
 * ``GIG(lam, chi, psi)``: density proportional to
   ``x^{lam-1} exp(-(chi/x + psi*x)/2)``.
+
+The GIG draw is scipy's ``geninvgauss`` sampler (Hörmann & Leydold 2014,
+Statistics and Computing 24), ported for one variate: it consumes the
+generator as ``scipy.stats.geninvgauss.rvs`` does and returns the same
+bits, without scipy's per-call overhead.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
-from scipy import stats
+from scipy.linalg import lapack
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +30,7 @@ from scipy import stats
 
 def sample_ig2(s: float, nu: float, rng: np.random.Generator, size=None) -> np.ndarray | float:
     """Draw from IG2(s, nu) via s over a chi-squared variate; ``s`` and ``nu`` may be arrays."""
-    if np.any(s <= 0) or np.any(nu <= 0):
+    if (np.asarray(s) <= 0).any() or (np.asarray(nu) <= 0).any():
         raise ValueError("IG2 requires positive scale and degrees of freedom")
     return s / rng.chisquare(nu, size=size)
 
@@ -66,8 +71,123 @@ def sample_gig(lam: float, chi: float, psi: float, rng: np.random.Generator) -> 
         if lam >= 0:
             raise ValueError("GIG with psi=0 requires lam < 0")
         return float(sample_ig2(chi, -2.0 * lam, rng))
-    b = np.sqrt(chi * psi)
-    return float(stats.geninvgauss.rvs(lam, b, scale=np.sqrt(chi / psi), random_state=rng))
+    p, b = float(lam), float(np.sqrt(chi * psi))
+    scale = np.sqrt(chi / psi)
+    if not (p == p and b > 0 and scale >= 0):
+        raise ValueError("GIG parameters outside the domain of the sampler")
+    return float(_gig_standard(p, b, rng) * scale)
+
+
+# scipy's bound on ratio-of-uniforms attempts that yield no variate
+_GIG_ATTEMPTS = 50_000
+
+
+def _gig_log_quasi(x, p: float, b: float):
+    """Log of the GIG(p, b) quasi-density ``x^(p-1) exp(-b (x + 1/x) / 2)``."""
+    if x > 0:
+        return (p - 1) * np.log(x) - b * (x + 1 / x) / 2
+    return -np.inf
+
+
+def _gig_standard(p: float, b: float, rng: np.random.Generator):
+    """One variate with density proportional to ``x^(p-1) exp(-b (x + 1/x) / 2)``.
+
+    A line-for-line port of scipy 1.17's ``geninvgauss._rvs_scalar`` for one
+    variate: ratio-of-uniforms with a mode shift, without one, or the
+    Hörmann-Leydold rejection sampler, and inversion for p < 0. Each
+    transcendental is the numpy ufunc scipy applies (numpy's SIMD kernels
+    can differ from ``math`` and from Python's ``**`` in the last bit), and
+    each attempt draws u and then v, so the stream and the bits are scipy's.
+    """
+    invert = p < 0
+    if invert:
+        p = -p  # 1 / X is GIG(-p, b)
+    if p < 1:
+        m = b / (np.sqrt((p - 1) ** 2 + b**2) + 1 - p)
+    else:
+        m = (np.sqrt((1 - p) ** 2 + b**2) - (1 - p)) / b
+    if p >= 1 or b > 1:
+        x = _gig_ratio_of_uniforms(p, b, m, True, rng)
+    elif b >= min(0.5, 2 * np.sqrt(1 - p) / 3):
+        x = _gig_ratio_of_uniforms(p, b, m, False, rng)
+    else:
+        x = _gig_rejection(p, b, m, rng)
+    return 1 / x if invert else x
+
+
+def _gig_ratio_of_uniforms(p: float, b: float, m, mode_shift: bool, rng: np.random.Generator):
+    if mode_shift:
+        # the bounding rectangle's v-extent from the roots of a cubic (Cardano)
+        a2 = -2 * (p + 1) / b - m
+        a1 = 2 * m * (p - 1) / b - 1
+        p1 = a1 - a2**2 / 3
+        q1 = 2 * a2**3 / 27 - a2 * a1 / 3 + m
+        phi = np.arccos(-q1 * np.sqrt(-27 / p1**3) / 2)
+        s1 = -np.sqrt(-4 * p1 / 3)
+        root1 = s1 * np.cos(phi / 3 + np.pi / 3) - a2 / 3
+        root2 = -s1 * np.cos(phi / 3) - a2 / 3
+        lm = _gig_log_quasi(m, p, b)  # rescales the quasi-density to 1 at the mode
+        vmin = (root1 - m) * np.exp(0.5 * (_gig_log_quasi(root1, p, b) - lm))
+        vmax = (root2 - m) * np.exp(0.5 * (_gig_log_quasi(root2, p, b) - lm))
+        umax, c = 1, m
+    else:
+        lm = 0.0
+        umax = np.exp(0.5 * _gig_log_quasi(m, p, b))
+        xplus = ((1 + p) + np.sqrt((1 + p) ** 2 + b**2)) / b
+        vmin = 0
+        vmax = xplus * np.exp(0.5 * _gig_log_quasi(xplus, p, b))
+        c = 0
+    if vmin >= vmax:
+        raise ValueError("vmin must be smaller than vmax.")
+    if umax <= 0:
+        raise ValueError("umax must be positive.")
+    for _ in range(_GIG_ATTEMPTS):
+        u = umax * rng.random()
+        v = vmin + (vmax - vmin) * rng.random()
+        x = v / u + c
+        if 2 * np.log(u) <= _gig_log_quasi(x, p, b) - lm:
+            return x
+    raise RuntimeError(
+        f"Not a single random variate could be generated in {_GIG_ATTEMPTS} attempts. "
+        "Sampling does not appear to work for the provided parameters."
+    )
+
+
+def _gig_rejection(p: float, b: float, m, rng: np.random.Generator):
+    """Hörmann & Leydold's rejection sampler for 0 <= p < 1 and small b."""
+    x0 = b / (1 - p)
+    xs = np.float64(max(x0, 2 / b))
+    k1 = np.exp(_gig_log_quasi(m, p, b))
+    A1 = k1 * x0
+    if x0 < 2 / b:
+        k2 = np.exp(-b)
+        if p > 0:
+            A2 = k2 * ((2 / b) ** p - x0**p) / p
+        else:
+            A2 = k2 * np.log(2 / b**2)
+    else:
+        k2, A2 = 0, 0
+    k3 = xs ** (p - 1)
+    A3 = 2 * k3 * np.exp(-xs * b / 2) / b
+    A = A1 + A2 + A3
+    while True:  # the rejection constant is below 2.73
+        u = rng.random()
+        v = A * rng.random()
+        if v <= A1:  # on (0, x0)
+            x = x0 * v / A1
+            h = k1
+        elif v <= A1 + A2:  # on (x0, 2 / b)
+            if p > 0:
+                x = np.power(x0**p + (v - A1) * p / k2, 1 / p)
+            else:
+                x = b * np.exp((v - A1) * np.exp(b))
+            h = k2 * np.power(x, p - 1)
+        else:  # on (xs, infinity)
+            z = np.exp(-xs * b / 2) - b * (v - A1 - A2) / (2 * k3)
+            x = -2 / b * np.log(z)
+            h = k3 * np.exp(-x * b / 2)
+        if np.log(u * h) <= _gig_log_quasi(x, p, b):
+            return x
 
 
 _CHOL_JITTER = 1e-10
@@ -86,6 +206,25 @@ def precision_cholesky(S: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(S + jitter * np.eye(r))
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError("precision not positive definite even after jitter") from None
+
+
+def solve_lower(L: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
+    """Solve ``L x = b``, or ``L' x = b`` with ``trans``, for a lower
+    triangular, C-ordered ``L`` such as ``precision_cholesky`` returns.
+
+    This is the LAPACK call ``scipy.linalg.solve_triangular`` makes for such
+    a factor, with the same checks and so the same bits, without its
+    per-call dispatch and validation layers.
+    """
+    L = np.asarray_chkfinite(L)
+    b = np.asarray_chkfinite(b)
+    # trtrs reads Fortran order, where the C-ordered lower L is an upper L'
+    x, info = lapack.dtrtrs(L.T, b, lower=0, trans=0 if trans else 1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
 
 
 def categorical(probs: np.ndarray, u) -> np.ndarray:
@@ -155,7 +294,7 @@ class ShrinkageChain:
     nu_s: float
 
     def __post_init__(self) -> None:
-        if np.any(np.asarray(self.gamma) <= 0) or np.any(np.asarray(self.s) <= 0):
+        if (np.asarray(self.gamma) <= 0).any() or (np.asarray(self.s) <= 0).any():
             raise ValueError("shrinkage scales must be positive")
         if self.s_gamma <= 0:
             raise ValueError("shrinkage scales must be positive")
@@ -194,17 +333,22 @@ def update_shrinkage_chain(
 
     ``sum_sq[n]`` is the summed squared magnitude of the zero-mean Gaussian
     coefficients tied to gamma[n]; ``counts[n]`` their total dimension.
-    Each level over the equations is one array draw, which consumes the
-    stream as one scalar draw per equation would.
+    The gamma level is one scalar chi-squared draw per equation, in equation
+    order (numpy's draw with an array of degrees of freedom consumes the
+    stream in that order too, but is several times slower); the s level is
+    one array draw.
     """
     sum_sq = np.asarray(sum_sq, dtype=float)
     counts = np.asarray(counts, dtype=float)
     N = chain.gamma.shape[0]
     if sum_sq.shape != (N,) or counts.shape != (N,):
         raise ValueError("sum_sq and counts must have one entry per equation")
-    if np.any(sum_sq < 0) or np.any(counts < 0):
+    if (sum_sq < 0).any() or (counts < 0).any():
         raise ValueError("sum_sq and counts must be non-negative")
-    gamma = sample_ig2(chain.s + sum_sq, chain.nu + counts, rng)
+    scale, dof = chain.s + sum_sq, chain.nu + counts
+    if (scale <= 0).any() or (dof <= 0).any():
+        raise ValueError("IG2 requires positive scale and degrees of freedom")
+    gamma = scale / np.array([rng.chisquare(d) for d in dof.tolist()])
     rate = 1.0 / chain.s_gamma + 0.5 / gamma
     # numpy's draw is scale times a unit-scale variate, so this equals a
     # draw with scale 1 / rate bit for bit, without numpy's slower path for

@@ -78,7 +78,7 @@ def quadrature_log_marginal(S: np.ndarray, w: np.ndarray, gamma: float, T_m: int
     j = int(np.argmax(np.abs(a)))
     rest = [i for i in range(r) if i != j]
     L = (np.sqrt(T_m) + 7.0) / np.sqrt(lam)
-    c = structural.pattern_log_marginal(S, w, gamma, T_m)
+    c = structural.pattern_log_marginal(*structural.factor_candidate(S, w, T_m), gamma, T_m)
     base = -0.5 * r * np.log(2.0 * np.pi * gamma)
 
     outer = np.array(list(itertools.product(*[L[i] * _GL_NODES for i in rest])), dtype=float)
@@ -136,7 +136,7 @@ def check_pattern_marginal() -> bool:
         G = rng.normal(size=(r, r))
         S = G @ G.T + np.eye(r)
         w = rng.normal(size=r)
-        got = structural.pattern_log_marginal(S, w, gamma, T_m)
+        got = structural.pattern_log_marginal(*structural.factor_candidate(S, w, T_m), gamma, T_m)
         worst = max(worst, abs(quadrature_log_marginal(S, w, gamma, T_m) - got))
     return _check("pattern marginal vs quadrature", worst < 1e-6, f"max abs log err {worst:.2e}")
 

@@ -12,25 +12,24 @@ variate and the rest as standard normals.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
-from .priors import categorical, precision_cholesky
+from .priors import categorical, precision_cholesky, solve_lower
 
 
-def row_cofactors(B: np.ndarray, n: int) -> np.ndarray:
-    """Cofactors of row ``n``: det of B with row n replaced by e_i, for each i.
+def row_cofactors(B: np.ndarray, gather: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Cofactors of one row: det of B with the row replaced by e_i, for each i.
 
-    A 1 x 1 ``B`` has the one cofactor 1.0, the determinant of an empty minor.
+    ``gather`` is that row's entry of ``PatternSet.cofactor_gathers`` (or
+    ``patterns.cofactor_gather(N, n)``): the indices of its N minors and
+    their signs.  A 1 x 1 ``B`` has the one cofactor 1.0, the determinant of
+    an empty minor.
     """
     B = np.asarray(B, dtype=float)
-    N = B.shape[0]
-    if B.shape != (N, N):
-        raise ValueError("B must be square")
-    rest = np.delete(B, n, axis=0)
-    minors = np.stack([np.delete(rest, i, axis=1) for i in range(N)])
-    dets = np.linalg.det(minors)
-    signs = (-1.0) ** (n + np.arange(N))
-    return signs * dets
+    rows, cols, signs = gather
+    if B.shape != (signs.size, signs.size):
+        raise ValueError("B must be square and match the gather")
+    return signs * np.linalg.det(B[rows, cols])
 
 
 def row_posterior_precision(
@@ -49,21 +48,26 @@ def row_posterior_precision(
     return S
 
 
-def pattern_log_marginal(
-    S: np.ndarray, w: np.ndarray, gamma: float, T_m: int
-) -> float:
-    """Log marginal likelihood of one candidate pattern for a structural row.
-
-    Integrates ``(2 pi gamma)^{-r/2} |b'w|^{T_m} exp(-b'Sb/2)`` over b.
-    """
+def factor_candidate(S: np.ndarray, w: np.ndarray, T_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor ``L`` of a candidate's precision and its whitened
+    cofactors ``what = L^{-1} w``, which the marginal and the draw share."""
     S = np.asarray(S, dtype=float)
     w = np.asarray(w, dtype=float)
-    r = S.shape[0]
-    if w.shape != (r,):
+    if w.shape != (S.shape[0],):
         raise ValueError("cofactor vector length must match precision dimension")
     if T_m < 0:
         raise ValueError("T_m must be non-negative")
     L = precision_cholesky(S)
+    return L, solve_lower(L, w)
+
+
+def pattern_log_marginal(L: np.ndarray, what: np.ndarray, gamma: float, T_m: int) -> float:
+    """Log marginal likelihood of one candidate pattern for a structural row.
+
+    Integrates ``(2 pi gamma)^{-r/2} |b'w|^{T_m} exp(-b'Sb/2)`` over b, from
+    ``factor_candidate(S, w, T_m)``.
+    """
+    r = L.shape[0]
     logdet_S = 2.0 * np.sum(np.log(np.diag(L)))
     out = (
         -0.5 * r * np.log(gamma)
@@ -73,7 +77,6 @@ def pattern_log_marginal(
         - 0.5 * np.log(np.pi)
     )
     if T_m > 0:
-        what = linalg.solve_triangular(L, w, lower=True)
         tau2 = float(what @ what)
         if tau2 <= 0.0:
             return -np.inf
@@ -97,17 +100,14 @@ def draw_tvi_indicator(log_marginals: np.ndarray, rng: np.random.Generator) -> i
 
 
 def draw_row_coefficients(
-    S: np.ndarray, w: np.ndarray, T_m: int, rng: np.random.Generator
+    L: np.ndarray, what: np.ndarray, T_m: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Exact draw of free row coefficients from ``|b'w|^{T_m} exp(-b'Sb/2)``."""
-    S = np.asarray(S, dtype=float)
-    w = np.asarray(w, dtype=float)
-    r = S.shape[0]
-    L = precision_cholesky(S)
+    """Exact draw of free row coefficients from ``|b'w|^{T_m} exp(-b'Sb/2)``,
+    given ``factor_candidate(S, w, T_m)``."""
+    r = L.shape[0]
     if T_m == 0:
         z = rng.standard_normal(r)
-        return linalg.solve_triangular(L, z, trans="T", lower=True)
-    what = linalg.solve_triangular(L, w, lower=True)
+        return solve_lower(L, z, trans=True)
     tau = float(np.linalg.norm(what))
     if tau <= 0.0:
         raise ValueError("cofactor direction vanished; structural matrix is singular")
@@ -122,4 +122,4 @@ def draw_row_coefficients(
         z = xi - (2.0 * (v @ xi) / (v @ v)) * v
     else:
         z = xi
-    return linalg.solve_triangular(L, z, trans="T", lower=True)
+    return solve_lower(L, z, trans=True)

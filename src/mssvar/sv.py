@@ -81,32 +81,34 @@ def linearize(logu2: np.ndarray, indicators: np.ndarray) -> tuple[np.ndarray, np
     return logu2 - MIXTURE.means[indicators], MIXTURE.variances[indicators]
 
 
-def _ar1_band(rho: float, T: int) -> np.ndarray:
-    """Upper banded storage of the AR(1) prior precision (unit innovations, h_0 = 0)."""
-    band = np.zeros((2, T))
-    band[1, :] = 1.0 + rho * rho
-    band[1, -1:] = 1.0  # a slice, so that T = 0 gives an empty band
-    band[0, 1:] = -rho
-    return band
-
-
 def draw_log_volatilities(
     ytil: np.ndarray,
     v: np.ndarray,
-    omega_row: np.ndarray,
-    rho: float,
+    omega: np.ndarray,
+    rho: np.ndarray,
     s: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Joint draw of one equation's log-volatility path from its row of ``linearize``."""
-    T = ytil.shape[0]
-    a = omega_row[s]  # per-period loading
-    band = _ar1_band(rho, T)
-    band[1, :] += a * a / v
+    """Joint draw of every equation's log-volatility path, (N, T), from ``linearize``.
+
+    Each path's precision is the AR(1) prior's (unit innovations, h_0 = 0)
+    plus the loadings' data term, tridiagonal.  The N bands are laid end to
+    end as one band with no coupling between equations, so one banded
+    factor, solve and standard-normal draw serve all of them, and they give
+    the bits and the stream of N separate draws.
+    """
+    N, T = ytil.shape
+    a = omega[:, s]  # per-period loadings, (N, T)
+    band = np.zeros((2, N, T))
+    band[1] = (1.0 + rho * rho)[:, None]
+    band[1, :, -1:] = 1.0  # a slice, so that T = 0 gives an empty band
+    band[0, :, 1:] = -rho[:, None]  # column 0 stays 0: no coupling to the previous equation
+    band = band.reshape(2, N * T)
+    band[1] += (a * a / v).reshape(-1)
     U = linalg.cholesky_banded(band, lower=False)
-    mean = linalg.cho_solve_banded((U, False), a * ytil / v)
-    z = rng.standard_normal(T)
-    return mean + linalg.solve_banded((0, 1), U, z)
+    mean = linalg.cho_solve_banded((U, False), (a * ytil / v).reshape(-1))
+    z = rng.standard_normal(N * T)
+    return (mean + linalg.solve_banded((0, 1), U, z)).reshape(N, T)
 
 
 def draw_omega(

@@ -6,7 +6,7 @@ import numpy as np
 from scipy import linalg
 
 from .data import Dataset
-from .priors import precision_cholesky
+from .priors import precision_cholesky, solve_lower
 
 
 def minnesota_moments(N: int, p: int, d_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -69,7 +69,5 @@ def draw_autoregressive(
     mean, L = autoregressive_posterior(dataset, B, s, sigma2, gamma_A)
     J = dataset.n_coefficients
     N = dataset.N
-    vec = mean.T.reshape(-1) + linalg.solve_triangular(
-        L, rng.standard_normal(J * N), trans="T", lower=True
-    )
+    vec = mean.T.reshape(-1) + solve_lower(L, rng.standard_normal(J * N), trans=True)
     return vec.reshape(J, N).T

@@ -30,7 +30,7 @@ from mssvar.selfcheck import GEWEKE_CONFIG, enumerate_regime_marginals, quadratu
 from mssvar.simulate import DgpTruth, companion_matrix, generate_dgp, simulate_observations
 from mssvar.state import ParameterState
 from mssvar.store import allocate_store, record_draw
-from mssvar.structural import pattern_log_marginal
+from mssvar.structural import factor_candidate, pattern_log_marginal
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +49,7 @@ def test_criterion_01_pattern_marginal_matches_quadrature():
             w = rng.normal(size=r) * rng.uniform(0.5, 2.0)
             T_m = int(rng.integers(0, 21))
             err = abs(
-                pattern_log_marginal(S, w, gamma, T_m)
+                pattern_log_marginal(*factor_candidate(S, w, T_m), gamma, T_m)
                 - quadrature_log_marginal(S, w, gamma, T_m)
             )
             worst = max(worst, err)

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -313,3 +315,12 @@ def test_series_count_mismatch_exits_one(workspace, tmp_path):
     cfg3.write_text("[model]\nvariables = y1, y2, y3\n\n[chain]\ndraws = 2\nburnin = 1\n")
     assert main(["estimate", "--config", str(cfg3), "--data", str(data),
                  "--out", str(tmp_path / "z")]) == 1
+
+
+def test_package_and_cli_import_without_scipy_stats():
+    # scipy.stats costs most of the import time that the CLI and every
+    # spawned estimate worker pay; only selfcheck needs it, and lazily
+    code = "import sys, mssvar, mssvar.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"

@@ -6,6 +6,7 @@ from mssvar.patterns import (
     PatternSet,
     apply_pattern,
     build_pattern_set,
+    cofactor_gather,
     extract_free,
     lower_triangular_pattern,
     parse_pattern,
@@ -98,3 +99,17 @@ def test_pattern_set_validation():
 def test_lower_triangular_rows():
     assert lower_triangular_pattern(0, 4).spec == "*000"
     assert lower_triangular_pattern(3, 4).spec == "****"
+
+
+def test_pattern_indices_are_computed_once_and_read_only():
+    pat = parse_pattern("*0**")
+    assert pat.free_idx is pat.free_idx
+    assert pat.r == 3
+    with pytest.raises(ValueError):
+        pat.free_idx[0] = 1
+    pats = build_pattern_set({0: ["*0**", "**0*"]}, 4)
+    assert pats.cofactor_gathers is pats.cofactor_gathers
+    for n, (rows, cols, signs) in enumerate(pats.cofactor_gathers):
+        want = cofactor_gather(4, n)
+        assert all(np.array_equal(a, b) for a, b in zip((rows, cols, signs), want))
+        assert not signs.flags.writeable

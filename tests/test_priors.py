@@ -8,7 +8,7 @@ sampling of the hand-derived posterior family.
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate, stats
+from scipy import integrate, linalg, stats
 
 from mssvar.priors import (
     ShrinkageChain,
@@ -20,6 +20,7 @@ from mssvar.priors import (
     sample_gig,
     sample_ig2,
     sample_truncated_normal,
+    solve_lower,
     update_shrinkage_chain,
 )
 
@@ -46,6 +47,33 @@ def test_precision_cholesky_rejects_an_indefinite_matrix():
     S = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite even after jitter"):
         precision_cholesky(S)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 12])
+def test_solve_lower_is_solve_triangular_bit_for_bit(r):
+    rng = np.random.default_rng(100 + r)
+    for _ in range(200):
+        G = rng.normal(size=(r + 2, r))
+        L = precision_cholesky(G.T @ G + 0.1 * np.eye(r))
+        b = rng.normal(size=r) * 10.0 ** rng.uniform(-3, 3)
+        for trans in (False, True):
+            want = linalg.solve_triangular(L, b, lower=True, trans="T" if trans else "N")
+            assert solve_lower(L, b, trans=trans).tobytes() == want.tobytes()
+
+
+def test_solve_lower_checks_like_solve_triangular():
+    L = np.array([[2.0, 0.0], [1.0, 3.0]])
+    for bad_L, bad_b in ((L, np.array([1.0, np.nan])), (np.where(L == 1.0, np.inf, L), np.ones(2))):
+        with pytest.raises(ValueError):
+            linalg.solve_triangular(bad_L, bad_b, lower=True)
+        with pytest.raises(ValueError):
+            solve_lower(bad_L, bad_b)
+    singular = np.array([[2.0, 0.0], [1.0, 0.0]])
+    for trans in (False, True):
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg.solve_triangular(singular, np.ones(2), lower=True, trans=int(trans))
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_lower(singular, np.ones(2), trans=trans)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +229,55 @@ def test_gig_sampler_matches_density():
 def test_gig_density_normalizes():
     val, _ = integrate.quad(lambda x: np.exp(gig_log_density(x, -1.2, 2.0, 0.7)), 0.0, np.inf)
     assert abs(val - 1.0) < 1e-6
+
+
+# (lam, chi, psi) in each branch of scipy's geninvgauss sampler, which the
+# port follows: ratio-of-uniforms with or without a mode shift, or the
+# rejection sampler, each also for lam < 0, where the draw is inverted
+GIG_BRANCH_CASES = {
+    "mode shift, p >= 1": (2.5, 2.0, 3.0),
+    "mode shift, b > 1": (0.3, 4.0, 1.0),
+    "no mode shift": (0.5, 0.5, 1.0),
+    "rejection, p > 0": (0.3, 0.05, 0.2),
+    "rejection, p = 0": (0.0, 0.01, 0.25),  # the loading variance's lam at shape 1, M = 2
+    "inverted, mode shift": (-1.5, 1.0, 2.0),
+    "inverted, no mode shift": (-0.5, 0.6, 0.6),
+    "inverted, rejection": (-0.4, 0.02, 0.5),
+}
+
+
+def _gig_branch(lam, chi, psi):
+    p, b = abs(lam), np.sqrt(chi * psi)
+    if p >= 1 or b > 1:
+        branch = "mode shift"
+    elif b >= min(0.5, 2 * np.sqrt(1 - p) / 3):
+        branch = "no mode shift"
+    else:
+        branch = "rejection"
+    return f"inverted, {branch}" if lam < 0 else branch
+
+
+@pytest.mark.parametrize("case", sorted(GIG_BRANCH_CASES))
+def test_gig_draw_is_scipys_bit_for_bit(case):
+    lam, chi, psi = GIG_BRANCH_CASES[case]
+    assert case.startswith(_gig_branch(lam, chi, psi))
+    for seed in range(250):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_gig(lam, chi, psi, ours)
+        want = stats.geninvgauss.rvs(lam, np.sqrt(chi * psi), scale=np.sqrt(chi / psi),
+                                     random_state=theirs)
+        assert got == want, (case, seed)
+        assert ours.bit_generator.state == theirs.bit_generator.state, (case, seed)
+
+
+def test_gig_draw_rejects_what_scipy_rejects():
+    # a NaN order, and chi * psi underflowing to b = 0
+    for lam, chi, psi in ((np.nan, 1.0, 1.0), (0.5, 1e-200, 1e-200)):
+        with pytest.raises(ValueError):
+            stats.geninvgauss.rvs(lam, np.sqrt(chi * psi), scale=np.sqrt(chi / psi),
+                                  random_state=np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            sample_gig(lam, chi, psi, np.random.default_rng(0))
 
 
 def test_gig_edge_branches():

@@ -10,9 +10,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
+from mssvar.patterns import cofactor_gather
 from mssvar.structural import (
     draw_row_coefficients,
     draw_tvi_indicator,
+    factor_candidate,
     pattern_log_marginal,
     row_cofactors,
     row_posterior_precision,
@@ -42,9 +44,9 @@ def _log_marginal_quadrature(S, w, gamma, T_m):
 
 
 def test_identity_cofactors():
-    w = row_cofactors(np.eye(2), 0)
+    w = row_cofactors(np.eye(2), cofactor_gather(2, 0))
     assert_allclose(w, [1.0, 0.0])
-    w = row_cofactors(np.eye(2), 1)
+    w = row_cofactors(np.eye(2), cofactor_gather(2, 1))
     assert_allclose(w, [0.0, 1.0])
 
 
@@ -53,7 +55,7 @@ def test_cofactors_reconstruct_determinant():
     for _ in range(25):
         B = rng.normal(size=(4, 4))
         for n in range(4):
-            c = row_cofactors(B, n)
+            c = row_cofactors(B, cofactor_gather(4, n))
             assert abs(B[n] @ c - np.linalg.det(B)) < 1e-10
             # replacing row n by any v gives det via the same cofactors
             v = rng.normal(size=4)
@@ -64,15 +66,30 @@ def test_cofactors_reconstruct_determinant():
 
 def test_cofactors_vanish_when_other_rows_collide():
     B = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [4.0, 5.0, 6.0]])
-    assert_allclose(row_cofactors(B, 0), np.zeros(3), atol=1e-14)
+    assert_allclose(row_cofactors(B, cofactor_gather(3, 0)), np.zeros(3), atol=1e-14)
 
 
 def test_scalar_system_cofactor():
     # the determinant of the empty minor is exactly one
-    w = row_cofactors(np.array([[3.0]]), 0)
+    w = row_cofactors(np.array([[3.0]]), cofactor_gather(1, 0))
     assert w.dtype == np.float64
     assert np.array_equal(w, [1.0])
 
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_gathered_cofactors_are_the_deleted_minors_bit_for_bit(N):
+    # the construction the gather replaced: N + 1 np.delete calls per row
+    def deleted(B, n):
+        rest = np.delete(B, n, axis=0)
+        minors = np.stack([np.delete(rest, i, axis=1) for i in range(N)])
+        return (-1.0) ** (n + np.arange(N)) * np.linalg.det(minors)
+
+    rng = np.random.default_rng(50 + N)
+    for _ in range(60):
+        B = rng.normal(size=(N, N)) * 10.0 ** rng.uniform(-2, 2, size=(N, 1))
+        for n in range(N):
+            assert row_cofactors(B, cofactor_gather(N, n)).tobytes() == deleted(B, n).tobytes()
 
 # ---------------------------------------------------------------------------
 # row posterior precision
@@ -115,8 +132,8 @@ def test_precision_is_pd_for_random_regimes():
 def test_equal_inputs_give_equal_weights():
     S = np.array([[2.0, 0.3], [0.3, 1.5]])
     w = np.array([0.7, -0.2])
-    a = pattern_log_marginal(S, w, 1.3, 5)
-    b = pattern_log_marginal(S.copy(), w.copy(), 1.3, 5)
+    a = pattern_log_marginal(*factor_candidate(S, w, 5), 1.3, 5)
+    b = pattern_log_marginal(*factor_candidate(S.copy(), w.copy(), 5), 1.3, 5)
     assert a == b
 
 
@@ -125,7 +142,7 @@ def test_no_data_reduces_to_flat_prior():
     # the prior normalization cancels the Gaussian integral exactly
     for r in (1, 2, 3):
         S = np.eye(r) / 1.7
-        val = pattern_log_marginal(S, np.ones(r), 1.7, 0)
+        val = pattern_log_marginal(*factor_candidate(S, np.ones(r), 0), 1.7, 0)
         assert abs(val) < 1e-12
 
 
@@ -134,29 +151,29 @@ def test_marginal_matches_quadrature_r2():
     G = rng.normal(size=(2, 2))
     S = G @ G.T + np.eye(2)
     w = rng.normal(size=2)
-    got = pattern_log_marginal(S, w, 0.9, 6)
+    got = pattern_log_marginal(*factor_candidate(S, w, 6), 0.9, 6)
     want = _log_marginal_quadrature(S, w, 0.9, 6)
     assert abs(got - want) < 1e-6
 
 
 def test_marginal_matches_quadrature_r1_odd_power():
-    got = pattern_log_marginal(np.array([[2.0]]), np.array([-1.5]), 2.0, 3)
+    got = pattern_log_marginal(*factor_candidate(np.array([[2.0]]), np.array([-1.5]), 3), 2.0, 3)
     want = _log_marginal_quadrature(np.array([[2.0]]), np.array([-1.5]), 2.0, 3)
     assert abs(got - want) < 1e-8
 
 
 def test_marginal_zero_cofactor_with_data_is_impossible():
     S = np.eye(2)
-    assert pattern_log_marginal(S, np.zeros(2), 1.0, 4) == -np.inf
+    assert pattern_log_marginal(*factor_candidate(S, np.zeros(2), 4), 1.0, 4) == -np.inf
     # but with no data the pattern stays admissible
-    assert np.isfinite(pattern_log_marginal(S, np.zeros(2), 1.0, 0))
+    assert np.isfinite(pattern_log_marginal(*factor_candidate(S, np.zeros(2), 0), 1.0, 0))
 
 
 def test_marginal_input_validation():
     with pytest.raises(ValueError):
-        pattern_log_marginal(np.eye(2), np.ones(3), 1.0, 2)
+        pattern_log_marginal(*factor_candidate(np.eye(2), np.ones(3), 2), 1.0, 2)
     with pytest.raises(ValueError):
-        pattern_log_marginal(np.eye(2), np.ones(2), 1.0, -1)
+        pattern_log_marginal(*factor_candidate(np.eye(2), np.ones(2), -1), 1.0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +217,8 @@ def test_indicator_rejects_degenerate_inputs():
 def test_prior_draw_is_standard_normal():
     rng = np.random.default_rng(6)
     n = 30_000
-    draws = np.array([draw_row_coefficients(np.eye(2), np.ones(2), 0, rng) for _ in range(n)])
+    factor = factor_candidate(np.eye(2), np.ones(2), 0)
+    draws = np.array([draw_row_coefficients(*factor, 0, rng) for _ in range(n)])
     for j in range(2):
         stat = stats.kstest(draws[:, j], stats.norm.cdf).statistic
         assert stat < 1.63 / np.sqrt(n)
@@ -211,7 +229,8 @@ def test_scalar_row_draw_is_signed_root_chi2():
     # r=1, S=1, w=1, T_m=2: b^2 ~ chi2(3), sign symmetric
     rng = np.random.default_rng(7)
     n = 40_000
-    draws = np.array([draw_row_coefficients(np.eye(1), np.ones(1), 2, rng)[0] for _ in range(n)])
+    factor = factor_candidate(np.eye(1), np.ones(1), 2)
+    draws = np.array([draw_row_coefficients(*factor, 2, rng)[0] for _ in range(n)])
     stat = stats.kstest(draws**2, lambda x: stats.chi2.cdf(x, 3.0)).statistic
     assert stat < 1.63 / np.sqrt(n)
     assert abs((draws > 0).mean() - 0.5) < 0.01
@@ -223,9 +242,8 @@ def test_scalar_row_draw_histogram_matches_kernel():
     S, w, T_m = 1.8, -0.6, 4
     rng = np.random.default_rng(11)
     n = 40_000
-    draws = np.array(
-        [draw_row_coefficients(np.array([[S]]), np.array([w]), T_m, rng)[0] for _ in range(n)]
-    )
+    factor = factor_candidate(np.array([[S]]), np.array([w]), T_m)
+    draws = np.array([draw_row_coefficients(*factor, T_m, rng)[0] for _ in range(n)])
     grid = np.linspace(-6.0, 6.0, 2001)
     kernel = np.abs(grid * w) ** T_m * np.exp(-0.5 * S * grid**2)
     cdf = integrate.cumulative_trapezoid(kernel, grid, initial=0.0)
@@ -244,7 +262,8 @@ def test_determinant_direction_law_r3():
     L = np.linalg.cholesky(S)
     tau2 = float(np.linalg.solve(L, w) @ np.linalg.solve(L, w))
     n = 40_000
-    draws = np.array([draw_row_coefficients(S, w, T_m, rng) @ w for _ in range(n)])
+    factor = factor_candidate(S, w, T_m)
+    draws = np.array([draw_row_coefficients(*factor, T_m, rng) @ w for _ in range(n)])
     stat = stats.kstest(draws**2 / tau2, lambda x: stats.chi2.cdf(x, T_m + 1)).statistic
     assert stat < 1.63 / np.sqrt(n)
     assert abs((draws > 0).mean() - 0.5) < 0.01
@@ -273,7 +292,8 @@ def test_row_draw_second_moment_vs_quadrature():
 
     rng = np.random.default_rng(12)
     n = 60_000
-    draws = np.array([draw_row_coefficients(S, w, T_m, rng) for _ in range(n)])
+    factor = factor_candidate(S, w, T_m)
+    draws = np.array([draw_row_coefficients(*factor, T_m, rng) for _ in range(n)])
     got = draws.T @ draws / n
     se = np.abs(draws[:, :, None] * draws[:, None, :]).std(axis=0).max() / np.sqrt(n)
     assert np.max(np.abs(got - target)) < 4.0 * se
@@ -282,13 +302,13 @@ def test_row_draw_second_moment_vs_quadrature():
 def test_row_draw_singular_direction_errors():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="singular"):
-        draw_row_coefficients(np.eye(2), np.zeros(2), 3, rng)
+        draw_row_coefficients(*factor_candidate(np.eye(2), np.zeros(2), 3), 3, rng)
 
 
 def test_jitter_handles_semidefinite_precision():
     # rank-deficient by construction; the ridge restores a usable factor
     S = np.array([[1.0, 1.0], [1.0, 1.0]])
     rng = np.random.default_rng(2)
-    out = draw_row_coefficients(S, np.array([1.0, 0.0]), 1, rng)
+    out = draw_row_coefficients(*factor_candidate(S, np.array([1.0, 0.0]), 1), 1, rng)
     assert out.shape == (2,)
     assert np.all(np.isfinite(out))

@@ -124,7 +124,8 @@ def test_path_draw_matches_dense_moments():
     n = 40_000
     draws = np.empty((n, T))
     for k in range(n):
-        draws[k] = draw_log_volatilities(*linearize(logu2, indicators), omega, 0.7, s, rng)
+        draws[k] = draw_log_volatilities(*linearize(logu2[None], indicators[None]), omega[None],
+                                         np.array([0.7]), s, rng)[0]
     se_mean = np.sqrt(np.diag(cov) / n)
     assert np.max(np.abs(draws.mean(axis=0) - mean) / se_mean) < 5.0
     got = np.cov(draws.T)
@@ -144,10 +145,43 @@ def test_path_draw_replays_the_banded_solve():
     U = np.linalg.cholesky(np.linalg.inv(cov)).T  # scipy banded uses upper form
     z = np.random.default_rng(77).standard_normal(T)
     want = mean + linalg.solve_triangular(U, z, lower=False)
-    got = draw_log_volatilities(*linearize(logu2, indicators), omega, rho, s,
-                                np.random.default_rng(77))
+    got = draw_log_volatilities(*linearize(logu2[None], indicators[None]), omega[None],
+                                np.array([rho]), s, np.random.default_rng(77))[0]
     assert_allclose(got, want, atol=1e-10)
 
+
+def _draw_log_volatility_row(ytil, v, omega_row, rho, s, rng):
+    # one equation's draw as the sampler made it before the N bands were joined
+    T = ytil.shape[0]
+    a = omega_row[s]
+    band = np.zeros((2, T))
+    band[1, :] = 1.0 + rho * rho
+    band[1, -1:] = 1.0
+    band[0, 1:] = -rho
+    band[1, :] += a * a / v
+    U = linalg.cholesky_banded(band, lower=False)
+    mean = linalg.cho_solve_banded((U, False), a * ytil / v)
+    z = rng.standard_normal(T)
+    return mean + linalg.solve_banded((0, 1), U, z)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("T", [0, 1, 2, 30, 600])
+def test_joined_path_draw_replays_one_draw_per_equation(N, T):
+    rng = np.random.default_rng(1000 * N + T)
+    for _ in range(5):
+        M = int(rng.integers(1, 4))
+        s = rng.integers(0, M, size=T)
+        ytil, v = linearize(rng.normal(-1.0, 2.0, size=(N, T)), rng.integers(0, 10, size=(N, T)))
+        omega = rng.normal(size=(N, M))
+        rho = rng.uniform(-0.99, 0.99, size=N)
+        seed = int(rng.integers(2**32))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = draw_log_volatilities(ytil, v, omega, rho, s, ours)
+        want = np.array([_draw_log_volatility_row(ytil[n], v[n], omega[n], rho[n], s, theirs)
+                         for n in range(N)]).reshape(N, T)
+        assert got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 def test_path_prior_when_loading_is_zero():
     # omega = 0 cuts the data out; lag-one autocovariance of the
@@ -156,10 +190,10 @@ def test_path_prior_when_loading_is_zero():
     T, rho = 4, 0.6
     n = 60_000
     draws = np.empty((n, T))
-    args = (*linearize(np.zeros(T), np.zeros(T, dtype=int)), np.zeros(1), rho,
-            np.zeros(T, dtype=int))
+    args = (*linearize(np.zeros((1, T)), np.zeros((1, T), dtype=int)), np.zeros((1, 1)),
+            np.array([rho]), np.zeros(T, dtype=int))
     for k in range(n):
-        draws[k] = draw_log_volatilities(*args, rng)
+        draws[k] = draw_log_volatilities(*args, rng)[0]
     var_t = np.cumsum(rho ** (2 * np.arange(T)))  # (1 - rho^(2t)) / (1 - rho^2)
     assert_allclose(draws.var(axis=0, ddof=1), var_t, rtol=0.05)
     lag1 = (draws[:, :-1] * draws[:, 1:]).mean(axis=0)
@@ -171,10 +205,10 @@ def test_path_draw_empty_series():
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     out = draw_log_volatilities(
-        *linearize(np.zeros(0), np.zeros(0, dtype=int)), np.zeros(1), 0.5,
-        np.zeros(0, dtype=int), rng,
+        *linearize(np.zeros((1, 0)), np.zeros((1, 0), dtype=int)), np.zeros((1, 1)),
+        np.array([0.5]), np.zeros(0, dtype=int), rng,
     )
-    assert out.shape == (0,)
+    assert out.shape == (1, 0)
     assert rng.bit_generator.state == before
 
 
