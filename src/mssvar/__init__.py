@@ -4,7 +4,7 @@ and stochastic volatility."""
 from .config import ModelConfig, load_config, parse_config
 from .data import ColumnTransform, Dataset, build_design, empty_dataset, load_dataset
 from .engine import gibbs_sweep, initialize_state, run_chain
-from .patterns import Pattern, PatternSet, apply_pattern, build_pattern_set, extract_free
+from .patterns import Pattern, PatternSet, apply_pattern, build_pattern_set
 from .simulate import DgpTruth, generate_dgp
 from .state import ParameterState
 from .store import DrawStore, load_store, persist_store
@@ -24,7 +24,6 @@ __all__ = [
     "build_design",
     "build_pattern_set",
     "empty_dataset",
-    "extract_free",
     "generate_dgp",
     "gibbs_sweep",
     "initialize_state",

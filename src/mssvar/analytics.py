@@ -99,14 +99,11 @@ def regime_probabilities(store: DrawStore) -> np.ndarray:
     return np.bincount(cells.ravel(), minlength=T * M).reshape(T, M) / S
 
 
-def joint_tvi_change_probability(store: DrawStore, equations: list[int] | None = None) -> float:
+def joint_tvi_change_probability(store: DrawStore) -> float:
     """Fraction of draws whose selected pattern differs across regimes."""
-    eqs = equations if equations is not None else list(store.config.patterns.tvi_equations)
-    if not eqs:
-        return 0.0
     kappa = store.block("kappa").astype(np.int64)
     changed = np.zeros(kappa.shape[0], dtype=bool)
-    for n in eqs:
+    for n in store.config.patterns.tvi_equations:
         kn = kappa[:, n, :]
         changed |= np.any(kn != kn[:, :1], axis=1)
     return float(changed.mean())
@@ -122,21 +119,20 @@ def impulse_responses(
     horizon: int,
     shock: int,
     *,
+    p: int,
     normalize: float | None = None,
-    p: int | None = None,
 ) -> np.ndarray:
     """(..., horizon+1, N) responses of all variables to one structural shock.
 
     ``A`` (..., N, N*p + d) and ``B_m`` (..., N, N) may carry a leading
-    draw axis.  The shock's column of ``B_m^{-1}`` is the impact, and the
-    lag recursion of ``simulate`` carries it forward with the
+    draw axis; the lag order ``p`` says where the d deterministic columns
+    of ``A`` begin.  The shock's column of ``B_m^{-1}`` is the impact, and
+    the lag recursion of ``simulate`` carries it forward with the
     deterministic terms off.  With ``normalize`` given, the shock column is
     rescaled so the impact response of the shock's own variable equals that
     value.
     """
     N = B_m.shape[-1]
-    if p is None:
-        p = (A.shape[-1] - 1) // N
     pulse = np.zeros((*np.broadcast_shapes(A.shape[:-2], B_m.shape[:-2]), horizon + 1, N))
     pulse[..., 0, :] = np.linalg.inv(B_m)[..., :, shock]
     out = lag_recursion(A[..., : N * p], np.zeros((p, N)), pulse)
@@ -216,12 +212,6 @@ def _hdi_columns(flat: np.ndarray, coverage: float) -> tuple[np.ndarray, np.ndar
     j = np.argmin(x[k:] - x[: n - k], axis=0)
     cols = np.arange(x.shape[1])
     return x[j, cols], x[j + k, cols]
-
-
-def highest_density_interval(draws: np.ndarray, coverage: float = 0.68) -> tuple[float, float]:
-    """Shortest interval containing the requested share of the draws."""
-    lo, hi = _hdi_columns(np.asarray(draws).reshape(-1, 1), coverage)
-    return float(lo[0]), float(hi[0])
 
 
 def summarize(draws: np.ndarray, coverage: float = 0.68) -> Summary:

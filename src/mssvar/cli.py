@@ -7,6 +7,7 @@ problems, 2 for runtime failures inside an otherwise valid run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import analytics, forecast
 from .config import load_config
-from .data import load_dataset
+from .data import Dataset, load_dataset
 from .engine import run_chain
 from .store import DrawStore, load_store, persist_store
 
@@ -84,10 +85,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_data(path: str, config) -> Dataset:
+    """The CSV at ``path``, read as the config declares its series."""
+    return load_dataset(
+        path, config.p,
+        transforms=config.transform_map(),
+        variables=list(config.variables) or None,
+        det_columns=list(config.det_columns) or None,
+    )
+
+
+def _int_list(text: str, flag: str, lowest: int) -> list[int]:
+    """Comma-separated integers, each at least ``lowest``."""
+    values = [int(v) for v in text.split(",") if v.strip()]
+    if min(values, default=lowest) < lowest:
+        raise ValueError(f"{flag} must be at least {lowest}, got {min(values)}")
+    return values
+
+
 def _cmd_simulate(args) -> int:
     from .geweke import prior_draw
     from .simulate import generate_dgp, spectral_radius, companion_matrix, truth_from_config, write_csv
 
+    if args.periods < 1:
+        raise ValueError(f"-T must be at least 1, got {args.periods}")
     config = load_config(args.config)
     if args.seed is not None:
         config = config.with_updates(seed=args.seed)
@@ -106,17 +127,9 @@ def _cmd_simulate(args) -> int:
     dataset, record = generate_dgp(truth, args.periods, rng, p=config.p)
     write_csv(args.out, dataset)
     if args.truth:
-        payload = {
-            "A": truth.A.tolist(),
-            "B": truth.B.tolist(),
-            "P": truth.P.tolist(),
-            "pi0": truth.pi0.tolist(),
-            "omega": truth.omega.tolist(),
-            "rho": truth.rho.tolist(),
-            "kappa": state.kappa.tolist(),
-            "s": record.s.tolist(),
-            "explosive": record.explosive,
-        }
+        payload = {f.name: getattr(truth, f.name).tolist() for f in dataclasses.fields(truth)}
+        payload.update(kappa=state.kappa.tolist(), s=record.s.tolist(),
+                       explosive=record.explosive)
         with open(args.truth, "w") as fh:
             json.dump(payload, fh, indent=1)
     print(f"wrote {dataset.T + config.p} rows to {args.out}")
@@ -132,12 +145,7 @@ def _cmd_estimate(args) -> int:
     }
     if overrides:
         config = config.with_updates(**overrides)
-    dataset = load_dataset(
-        args.data, config.p,
-        transforms=config.transform_map(),
-        variables=list(config.variables) or None,
-        det_columns=list(config.det_columns) or None,
-    )
+    dataset = _load_data(args.data, config)
     chain = functools.partial(run_chain, config, dataset)
     # spawned, not forked: the parent may already run BLAS threads
     with ProcessPoolExecutor(max_workers=min(config.chains, os.cpu_count() or 1),
@@ -260,12 +268,7 @@ def _cmd_analyze(args) -> int:
         if not args.data:
             print("analyze moments needs --data", file=sys.stderr)
             return 1
-        dataset = load_dataset(
-            args.data, config.p,
-            transforms=config.transform_map(),
-            variables=list(config.variables) or None,
-            det_columns=list(config.det_columns) or None,
-        )
+        dataset = _load_data(args.data, config)
         probs = analytics.regime_probabilities(store)
         moments = analytics.regime_moments(dataset.y, probs)
         rows = [["regime", "periods"]
@@ -304,14 +307,13 @@ def _cmd_forecast(args) -> int:
                   "transforms; log scores on different data cannot be compared",
                   file=sys.stderr)
             return 1
-    dataset = load_dataset(
-        args.data, config.p,
-        transforms=config.transform_map(),
-        variables=list(config.variables) or None,
-    )
+    if args.benchmark is not None and args.benchmark not in models:
+        raise ValueError(f"--benchmark {args.benchmark!r} names no model; the models are "
+                         + ", ".join(models))
+    origins = _int_list(args.origins, "--origins", 0)
+    horizons = _int_list(args.horizons, "--horizons", 1)
+    dataset = _load_data(args.data, config)
     y_raw = np.vstack([dataset.presample, dataset.y])
-    origins = [int(v) for v in args.origins.split(",") if v.strip()]
-    horizons = [int(v) for v in args.horizons.split(",") if v.strip()]
     report = forecast.rolling_evaluation(models, y_raw, origins, horizons, seed=config.seed)
     report.write_csv(args.out)
     for horizon in horizons:

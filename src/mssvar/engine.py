@@ -7,7 +7,7 @@ import numpy as np
 from . import regimes, structural, sv, var
 from .config import ModelConfig
 from .data import Dataset
-from .patterns import apply_pattern, extract_free
+from .patterns import apply_pattern
 from .priors import ShrinkageChain, sample_gamma, update_shrinkage_chain
 from .state import ParameterState
 from .store import DrawStore, allocate_store, record_draw
@@ -50,6 +50,8 @@ def initialize_state(config: ModelConfig, dataset: Dataset, rng: np.random.Gener
         A=A,
         B=B,
         kappa=kappa,
+        # step (1) redraws s before anything reads it; this draw is kept
+        # because it fixes the generator's stream, and so every later draw
         s=rng.integers(0, M, size=T),
         P=(np.ones((M, M)) + config.d_m * np.eye(M)) / (M + config.d_m),
         pi0=np.full(M, 1.0 / M),
@@ -57,7 +59,6 @@ def initialize_state(config: ModelConfig, dataset: Dataset, rng: np.random.Gener
         omega=np.zeros((N, M)) if config.fix_omega_at_zero else np.full((N, M), 0.1),
         rho=np.full(N, 0.5),
         sigma2_omega=np.ones(N) * config.omega_shape * config.omega_scale,
-        indicators=np.full((N, T), sv.MODAL_COMPONENT, dtype=np.int64),
         shrink_B=shrink_B,
         shrink_A=shrink_A,
         omega_mean=np.zeros((N, M)),
@@ -102,8 +103,8 @@ def gibbs_sweep(
     # (3) mixture indicators, and the linear-Gaussian observations they give
     U = np.einsum("tij,tj->ti", state.B[s], eps).T  # (N, T) structural residuals
     logu2 = sv.log_squared(U)
-    state.indicators = sv.draw_mixture_indicators(logu2, state.omega, state.h, s, rng)
-    ytil, v = sv.linearize(logu2, state.indicators)
+    indicators = sv.draw_mixture_indicators(logu2, state.omega, state.h, s, rng)
+    ytil, v = sv.linearize(logu2, indicators)
 
     # (4) log-volatility paths
     state.h = sv.draw_log_volatilities(ytil, v, state.omega, state.rho, s, rng)
@@ -128,7 +129,10 @@ def gibbs_sweep(
             )
         state.rho[n] = sv.draw_rho(state.h[n], rng)
 
-    # (6) structural rows: restriction indicator (where applicable) then coefficients
+    # (6) structural rows: restriction indicator (where applicable) then
+    # coefficients, with each equation's sums for the shrinkage update in (7)
+    sum_sq = np.zeros(N)
+    counts = np.zeros(N)
     for m in range(M):
         sel = s == m
         T_m = int(sel.sum())
@@ -150,16 +154,10 @@ def gibbs_sweep(
             state.kappa[n, m] = k
             b = structural.draw_row_coefficients(*factors[k], T_m, rng)
             state.B[m, n, :] = apply_pattern(b, candidates[k])
+            sum_sq[n] += b @ b
+            counts[n] += candidates[k].r
 
     # (7) structural shrinkage hierarchy
-    sum_sq = np.zeros(N)
-    counts = np.zeros(N)
-    for n in range(N):
-        for m in range(M):
-            pat = pats.equations[n][state.kappa[n, m]]
-            b = extract_free(state.B[m, n], pat)
-            sum_sq[n] += b @ b
-            counts[n] += pat.r
     state.shrink_B = update_shrinkage_chain(state.shrink_B, sum_sq, counts, rng)
 
     # (8) autoregressive coefficients

@@ -67,6 +67,8 @@ def predictive_log_densities(
     exact Gaussian mixture over the next regime, one (draws, M) array of
     terms.  ``variable`` switches from the joint density to one marginal.
     """
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
     y_future = np.asarray(y_future, dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(10,)))
     S, N, p = store.n_draws, store.config.N, store.config.p
@@ -192,6 +194,10 @@ def rolling_evaluation(
     y_raw = np.asarray(y_raw, dtype=float)
     rows: list[EvaluationRow] = []
     hmax = max(horizons)
+    if min(horizons) < 1:
+        raise ValueError(f"horizons must be at least 1, got {min(horizons)}")
+    if min(origins, default=0) < 0:
+        raise ValueError(f"origins must be at least 0, got {min(origins)}")
     for origin in origins:
         if origin + hmax >= y_raw.shape[0]:
             raise ValueError(f"origin {origin} leaves no room for horizon {hmax}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import regimes, sv
+from . import regimes
 from .config import ModelConfig
 from .data import Dataset, build_design
 from .engine import gibbs_sweep
@@ -78,7 +78,6 @@ def prior_draw(config: ModelConfig, T: int, rng: np.random.Generator) -> Paramet
         omega=omega,
         rho=rho,
         sigma2_omega=sigma2_omega,
-        indicators=np.full((N, T), sv.MODAL_COMPONENT, dtype=np.int64),
         shrink_B=shrink_B,
         shrink_A=shrink_A,
         omega_mean=np.zeros((N, M)),

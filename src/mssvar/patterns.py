@@ -138,11 +138,3 @@ def apply_pattern(b: np.ndarray, pattern: Pattern) -> np.ndarray:
     row = np.zeros(pattern.N)
     row[pattern.free_idx] = b
     return row
-
-
-def extract_free(row: np.ndarray, pattern: Pattern) -> np.ndarray:
-    """Inverse of :func:`apply_pattern` on the free entries."""
-    row = np.asarray(row, dtype=float)
-    if row.shape != (pattern.N,):
-        raise ValueError("row length does not match pattern")
-    return row[pattern.free_idx].copy()

@@ -150,10 +150,7 @@ def smoothed_probabilities(
 
 
 def transition_counts(s: np.ndarray, M: int) -> np.ndarray:
-    counts = np.zeros((M, M))
-    if s.shape[0] >= 2:
-        np.add.at(counts, (s[:-1], s[1:]), 1.0)
-    return counts
+    return np.bincount(s[:-1] * M + s[1:], minlength=M * M).reshape(M, M)
 
 
 def transition_posterior_alpha(s: np.ndarray, M: int, d_m: float) -> np.ndarray:
@@ -175,8 +172,5 @@ def draw_transition_matrix(
 def draw_initial_probabilities(
     s: np.ndarray, M: int, rng: np.random.Generator
 ) -> np.ndarray:
-    alpha = np.ones(M)
-    if s.shape[0] > 0:
-        alpha[s[0]] += 1.0
-    return rng.dirichlet(alpha)
+    return rng.dirichlet(1.0 + np.bincount(s[:1], minlength=M))
 

@@ -12,7 +12,7 @@ call would.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -223,15 +223,8 @@ def generate_dgp(
 
 
 def truth_from_config(state) -> DgpTruth:
-    """Package a parameter state as a simulation truth."""
-    return DgpTruth(
-        A=state.A.copy(),
-        B=state.B.copy(),
-        P=state.P.copy(),
-        pi0=state.pi0.copy(),
-        omega=state.omega.copy(),
-        rho=state.rho.copy(),
-    )
+    """Copies of a parameter state's ``DgpTruth`` fields, as a simulation truth."""
+    return DgpTruth(**{f.name: getattr(state, f.name).copy() for f in fields(DgpTruth)})
 
 
 def write_csv(path: str, dataset: Dataset) -> None:

@@ -54,9 +54,6 @@ BLOCKS = (
     Block("logml", "logml", ()),
 )
 
-# validated like the stored blocks but not recorded
-_UNSTORED = (Block("indicators", "indicators", ("N", "T")),)  # mixture component labels
-
 
 def block_sizes(config: ModelConfig, T: int) -> dict[str, int]:
     """Values of the dimension symbols used in ``Block.dims``."""
@@ -67,7 +64,7 @@ def block_sizes(config: ModelConfig, T: int) -> dict[str, int]:
 class ParameterState:
     """One full set of model unknowns, latent paths included.
 
-    Field shapes are given by ``BLOCKS`` (stored) and ``_UNSTORED``.
+    Field shapes are given by ``BLOCKS``.
     """
 
     A: np.ndarray
@@ -80,20 +77,17 @@ class ParameterState:
     omega: np.ndarray
     rho: np.ndarray
     sigma2_omega: np.ndarray
-    indicators: np.ndarray
     shrink_B: ShrinkageChain
     shrink_A: ShrinkageChain
     omega_mean: np.ndarray
     omega_var: np.ndarray
     logml: float = 0.0
 
-    def validate(self, config: ModelConfig, T: int | None = None) -> None:
+    def validate(self, config: ModelConfig, T: int) -> None:
         """Raise if any structural invariant is broken."""
         N, M = config.N, config.M
-        if T is None:
-            T = self.s.shape[0]
         sizes = block_sizes(config, T)
-        for blk in BLOCKS + _UNSTORED:
+        for blk in BLOCKS:
             arr = np.asarray(operator.attrgetter(blk.attr)(self))
             shape = blk.shape(sizes)
             if arr.shape != shape:

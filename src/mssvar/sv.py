@@ -35,8 +35,6 @@ MIXTURE = SimpleNamespace(
         0.98583, 1.57469, 2.54498, 4.16591, 7.33342,
     ]),
 )
-# the most probable component, the indicators' starting value
-MODAL_COMPONENT = int(np.argmax(MIXTURE.probs))
 
 
 def conditional_variances(omega: np.ndarray, h: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -268,7 +268,7 @@ def test_criterion_08_impulse_response_oracle():
         A = np.hstack([A_lags, const])
         B = rng.normal(size=(N, N)) + np.eye(N) * 2.0
         hor = 12
-        theta = analytics.impulse_responses(A, B, hor, shock=1)
+        theta = analytics.impulse_responses(A, B, hor, shock=1, p=p)
 
         # direct propagation of one structural impulse, intercept suppressed
         impact = np.linalg.solve(B, np.eye(N)[:, 1])
@@ -282,7 +282,7 @@ def test_criterion_08_impulse_response_oracle():
             ylags = np.vstack([ylags[1:], yt])
         assert np.abs(theta - path).max() < 1e-8
 
-    theta_n = analytics.impulse_responses(A, B, 4, shock=0, normalize=-0.25)
+    theta_n = analytics.impulse_responses(A, B, 4, shock=0, p=p, normalize=-0.25)
     assert theta_n[0, 0] == -0.25
 
 
@@ -295,7 +295,6 @@ def _single_draw_store(config, T, A, B, P, pi0, omega, rho, s, h):
         A=A, B=B, kappa=np.zeros((config.N, config.M), dtype=np.int64),
         s=s, P=P, pi0=pi0, h=h, omega=omega, rho=rho,
         sigma2_omega=np.ones(config.N),
-        indicators=np.zeros((config.N, T), dtype=np.int64),
         shrink_B=ShrinkageChain.at_prior_center(
             config.N, nu=config.nu_B, nu_gamma=config.nu_gamma_B,
             s_s=config.s_s_B, nu_s=config.nu_s_B),

@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mssvar.analytics import (
+    _hdi_columns,
     heteroskedasticity_sddr,
-    highest_density_interval,
     impulse_response_draws,
     impulse_responses,
     joint_tvi_change_probability,
@@ -144,7 +144,6 @@ def test_joint_change_probability_hand_count():
     store.blocks["kappa"][:, 0, 0] = [0, 0, 1, 1]
     store.blocks["kappa"][:, 0, 1] = [0, 1, 1, 0]
     assert joint_tvi_change_probability(store) == 0.5
-    assert joint_tvi_change_probability(store, equations=[1]) == 0.0
     config1 = ModelConfig(N=2, p=1, M=2, draws=1)  # no multi-pattern equations
     assert joint_tvi_change_probability(_blank_store(config1)) == 0.0
 
@@ -155,14 +154,14 @@ def test_joint_change_probability_hand_count():
 
 def test_irf_without_dynamics_is_impact_only():
     B = np.array([[2.0, 0.0], [1.0, 4.0]])
-    out = impulse_responses(np.zeros((2, 3)), B, 5, 0)
+    out = impulse_responses(np.zeros((2, 3)), B, 5, 0, p=1)
     assert_allclose(out[0], np.linalg.inv(B)[:, 0])
     assert_allclose(out[1:], 0.0, atol=1e-15)
 
 
 def test_irf_scalar_geometric_decay():
     A = np.array([[0.5, 0.0]])
-    out = impulse_responses(A, np.eye(1), 6, 0)
+    out = impulse_responses(A, np.eye(1), 6, 0, p=1)
     assert_allclose(out[:, 0], 0.5 ** np.arange(7))
 
 
@@ -170,14 +169,14 @@ def test_irf_normalization_is_exact():
     rng = np.random.default_rng(111)
     A = rng.normal(size=(2, 3)) * 0.2
     B = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
-    out = impulse_responses(A, B, 4, 1, normalize=-0.25)
+    out = impulse_responses(A, B, 4, 1, p=1, normalize=-0.25)
     assert out[0, 1] == -0.25
-    out0 = impulse_responses(A, B, 4, 0, normalize=0.5)
+    out0 = impulse_responses(A, B, 4, 0, p=1, normalize=0.5)
     assert out0[0, 0] == 0.5
     # B^{-1} of a swap has a zero diagonal: no own-variable impact to scale by
     with pytest.raises(ValueError, match="zero"):
         impulse_responses(np.zeros((2, 3)), np.array([[0.0, 1.0], [1.0, 0.0]]), 2, 0,
-                          normalize=1.0)
+                          p=1, normalize=1.0)
 
 
 def test_irf_matches_simulated_difference():
@@ -196,8 +195,25 @@ def test_irf_matches_simulated_difference():
     u1[0, 0] = 1.0
     shocked, _ = simulate_observations(truth, s, h, pres, rng, u=u1)
     want = shocked - base
-    got = impulse_responses(A, B, H, 0)
+    got = impulse_responses(A, B, H, 0, p=1)
     assert np.max(np.abs(got - want)) < 1e-8
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_irf_skips_every_deterministic_column(p):
+    # d_dim = 3: an intercept and two more deterministic columns after the
+    # N*p lag columns, none of which may enter the response
+    rng = np.random.default_rng(116)
+    N, H = 2, 6
+    A_lags = rng.normal(scale=0.3, size=(N, N * p))
+    A = np.hstack([A_lags, rng.normal(size=(N, 3)) + 1.0])
+    B = rng.normal(size=(N, N)) + 2.0 * np.eye(N)
+    want = np.zeros((H + 1 + p, N))  # p zero rows before the impact
+    want[p] = np.linalg.solve(B, np.eye(N)[:, 1])
+    for t in range(p + 1, H + 1 + p):
+        want[t] = A_lags @ want[t - p : t][::-1].ravel()
+    got = impulse_responses(A, B, H, 1, p=p)
+    assert np.max(np.abs(got - want[p:])) < 1e-12
 
 
 def test_irf_draws_shape(posterior_store):
@@ -258,14 +274,16 @@ def test_summarize_hdi_matches_each_column_alone():
     for coverage in (0.01, 0.68, 0.995):
         out = summarize(draws, coverage)
         for i, j in np.ndindex(5, 3):
-            lo, hi = highest_density_interval(draws[:, i, j], coverage)
-            assert (out.hdi_lower[i, j], out.hdi_upper[i, j]) == (lo, hi)
+            alone = summarize(draws[:, i, j], coverage)
+            assert (out.hdi_lower[i, j], out.hdi_upper[i, j]) == (alone.hdi_lower[0],
+                                                                  alone.hdi_upper[0])
 
 
 def test_hdi_matches_normal_quantiles():
     rng = np.random.default_rng(113)
     draws = rng.standard_normal(200_000)
-    lo, hi = highest_density_interval(draws, 0.68)
+    out = summarize(draws, 0.68)
+    lo, hi = out.hdi_lower[0], out.hdi_upper[0]
     assert abs(lo + 1.0) < 0.02 and abs(hi - 1.0) < 0.02
     inside = np.mean((draws >= lo) & (draws <= hi))
     assert abs(inside - 0.68) < 0.005
@@ -274,11 +292,12 @@ def test_hdi_matches_normal_quantiles():
 def test_hdi_prefers_the_dense_side():
     rng = np.random.default_rng(114)
     draws = rng.exponential(size=100_000)
-    lo, hi = highest_density_interval(draws, 0.5)
+    out = summarize(draws, 0.5)
+    lo, hi = out.hdi_lower[0], out.hdi_upper[0]
     assert lo < 0.01  # mass piles up at zero
     assert hi < np.quantile(draws, 0.75)
     with pytest.raises(ValueError):
-        highest_density_interval(np.zeros(0))
+        _hdi_columns(np.zeros((0, 1)), 0.5)
 
 
 def test_regime_moments_hard_assignment_and_empty_regime():

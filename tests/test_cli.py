@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mssvar import analytics
+from mssvar import analytics, forecast
 from mssvar.cli import main
 from mssvar.store import DrawStore, load_store
 
@@ -282,6 +282,35 @@ def test_forecast_rejects_deterministic_terms(workspace, tmp_path, capsys):
                "--out", str(tmp_path / "r.csv")])
     assert rc == 1
     assert "intercept-only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--origins", "50", "--horizons", "0"], "--horizons must be at least 1, got 0"),
+    (["--origins", "50", "--horizons", "1,-2"], "--horizons must be at least 1, got -2"),
+    (["--origins", "-5"], "--origins must be at least 0, got -5"),
+    (["--origins", "50", "--benchmark", "nope"], "--benchmark 'nope' names no model"),
+])
+def test_forecast_rejects_bad_flags_before_any_chain(workspace, tmp_path, capsys, monkeypatch,
+                                                     argv, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the evaluation ran")
+
+    monkeypatch.setattr(forecast, "rolling_evaluation", no_run)
+    _, cfg, data, _ = workspace
+    out = tmp_path / "r.csv"
+    assert main(["forecast", "--config", str(cfg), "--data", str(data), *argv,
+                 "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("periods", ["0", "-3"])
+def test_simulate_rejects_periods_below_one(workspace, tmp_path, capsys, periods):
+    _, cfg, _, _ = workspace
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "-T", periods]) == 1
+    assert f"-T must be at least 1, got {periods}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_codes():

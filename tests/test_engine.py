@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mssvar import engine
 from mssvar.config import ModelConfig
 from mssvar.data import Dataset, build_design, empty_dataset
 from mssvar.engine import chain_rng, gibbs_sweep, initialize_state, run_chain
 from mssvar.patterns import build_pattern_set
+from mssvar.priors import update_shrinkage_chain
 from mssvar.store import allocate_store, record_draw
 
 
@@ -116,6 +118,35 @@ def test_sweep_fixed_loadings_stay_zero():
         assert np.all(state.omega == 0.0)
         assert np.all(state.sigma2_omega > 0.0)
         state.validate(config, ds.T)
+
+
+@pytest.mark.parametrize("M", [2, 3])
+def test_structural_shrinkage_sums_every_drawn_row_once(M, monkeypatch):
+    # step (7) must see, per equation, the squared free coefficients and the
+    # pattern sizes of the rows that step (6) drew, one term per regime
+    calls = []
+
+    def spy(chain, sum_sq, counts, rng):
+        calls.append((sum_sq.copy(), counts.copy()))
+        return update_shrinkage_chain(chain, sum_sq, counts, rng)
+
+    monkeypatch.setattr(engine, "update_shrinkage_chain", spy)
+    rng = np.random.default_rng(78)
+    ds = _dataset(rng, N=3, T_raw=61)
+    config = ModelConfig(N=3, p=1, M=M, draws=1, patterns=build_pattern_set(
+        {0: ["***", "*0*", "**0"], 2: ["***", "0**"]}, 3))
+    state = initialize_state(config, ds, rng)
+    for _ in range(30):
+        calls.clear()
+        gibbs_sweep(state, ds, config, rng)
+        sum_sq, counts = calls[0]  # the second call is the autoregressive chain's
+        pats = [[config.patterns.equations[n][state.kappa[n, m]] for m in range(M)]
+                for n in range(3)]
+        want_sq = [sum(np.sum(state.B[m, n, pats[n][m].free_idx] ** 2) for m in range(M))
+                   for n in range(3)]
+        assert_allclose(sum_sq, want_sq, rtol=1e-13)
+        assert counts.tolist() == [sum(pat.r for pat in pats[n]) for n in range(3)]
+    assert len(calls) == 2
 
 
 def test_run_chain_bookkeeping_matches_manual_loop():

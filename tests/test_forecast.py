@@ -327,3 +327,28 @@ def test_rolling_evaluation_end_to_end():
         assert_allclose(r.realized, y_raw[r.origin + r.horizon])
     with pytest.raises(ValueError, match="origin"):
         rolling_evaluation(models, y_raw, origins=[45], horizons=[1], seed=2)
+
+
+@pytest.mark.parametrize("origins, horizons, message", [
+    ([40], [0], "horizons must be at least 1, got 0"),
+    ([40], [2, -1], "horizons must be at least 1, got -1"),
+    ([40, -5], [1], "origins must be at least 0, got -5"),
+])
+def test_rolling_evaluation_rejects_out_of_range_before_any_chain(
+    monkeypatch, origins, horizons, message
+):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain ran")
+
+    monkeypatch.setattr("mssvar.engine.run_chain", no_chain)
+    models = {"a": ModelConfig(N=2, p=1, M=1, draws=8, burnin=3)}
+    y_raw = np.random.default_rng(129).normal(size=(46, 2))
+    with pytest.raises(ValueError, match=message):
+        rolling_evaluation(models, y_raw, origins=origins, horizons=horizons)
+
+
+def test_log_density_rejects_horizon_zero():
+    ds = _small_dataset(np.random.default_rng(130))
+    store = _manual_store(ModelConfig(N=2, p=1, M=1, draws=1), ds, 3)
+    with pytest.raises(ValueError, match="horizon must be at least 1, got 0"):
+        predictive_log_densities(store, ds, np.zeros(2), 0)

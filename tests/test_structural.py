@@ -1,7 +1,7 @@
 """Structural-row machinery: cofactors, pattern marginals, exact row draws.
 
-The closed-form marginal is checked against adaptive quadrature of the raw
-integrand, the row sampler against the laws its construction implies
+The closed-form marginal is checked against the quadrature oracle of
+``selfcheck``, the row sampler against the laws its construction implies
 (chi-square magnitude along the determinant direction, Gaussian elsewhere).
 """
 
@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
 from mssvar.patterns import cofactor_gather
+from mssvar.selfcheck import quadrature_log_marginal
 from mssvar.structural import (
     draw_row_coefficients,
     draw_tvi_indicator,
@@ -19,24 +20,6 @@ from mssvar.structural import (
     row_cofactors,
     row_posterior_precision,
 )
-
-
-def _log_marginal_quadrature(S, w, gamma, T_m):
-    r = S.shape[0]
-
-    def integrand(*b):
-        b = np.asarray(b)
-        return float(
-            (2.0 * np.pi * gamma) ** (-r / 2.0)
-            * np.abs(b @ w) ** T_m
-            * np.exp(-0.5 * b @ S @ b)
-        )
-
-    lim = 8.0 / np.sqrt(np.linalg.eigvalsh(S).min()) * max(1.0, np.sqrt(T_m))
-    val, _ = integrate.nquad(
-        integrand, [(-lim, lim)] * r, opts={"epsabs": 1e-13, "epsrel": 1e-10, "limit": 200}
-    )
-    return np.log(val)
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +135,13 @@ def test_marginal_matches_quadrature_r2():
     S = G @ G.T + np.eye(2)
     w = rng.normal(size=2)
     got = pattern_log_marginal(*factor_candidate(S, w, 6), 0.9, 6)
-    want = _log_marginal_quadrature(S, w, 0.9, 6)
+    want = quadrature_log_marginal(S, w, 0.9, 6)
     assert abs(got - want) < 1e-6
 
 
 def test_marginal_matches_quadrature_r1_odd_power():
     got = pattern_log_marginal(*factor_candidate(np.array([[2.0]]), np.array([-1.5]), 3), 2.0, 3)
-    want = _log_marginal_quadrature(np.array([[2.0]]), np.array([-1.5]), 2.0, 3)
+    want = quadrature_log_marginal(np.array([[2.0]]), np.array([-1.5]), 2.0, 3)
     assert abs(got - want) < 1e-8
 
 

@@ -8,7 +8,6 @@ from scipy import linalg, special, stats
 from mssvar.priors import sample_gig
 from mssvar.sv import (
     MIXTURE,
-    MODAL_COMPONENT,
     conditional_variances,
     draw_log_volatilities,
     draw_mixture_indicators,
@@ -29,7 +28,6 @@ def test_mixture_table_is_a_proper_log_chi2_approximation():
     var = (MIXTURE.probs * (MIXTURE.variances + MIXTURE.means**2)).sum() - mean**2
     assert abs(mean - (special.digamma(0.5) + np.log(2.0))) < 5e-4
     assert abs(var - np.pi**2 / 2.0) < 5e-3
-    assert MIXTURE.probs[MODAL_COMPONENT] == MIXTURE.probs.max()
 
 
 def test_mixture_draws_match_log_chi2_samples():
