@@ -189,11 +189,8 @@ def heteroskedasticity_sddr(store: DrawStore, equation: int, regime: int) -> flo
 @dataclass(frozen=True)
 class Summary:
     median: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
     hdi_lower: np.ndarray
     hdi_upper: np.ndarray
-    coverage: float
 
 
 def _hdi_columns(flat: np.ndarray, coverage: float) -> tuple[np.ndarray, np.ndarray]:
@@ -214,23 +211,17 @@ def _hdi_columns(flat: np.ndarray, coverage: float) -> tuple[np.ndarray, np.ndar
     return x[j, cols], x[j + k, cols]
 
 
-def summarize(draws: np.ndarray, coverage: float = 0.68) -> Summary:
-    """Median, equal-tailed interval, and HDI along the draw axis."""
+def summarize(draws: np.ndarray) -> Summary:
+    """Median and 68% HDI along the draw axis."""
     draws = np.asarray(draws, dtype=float)
     flat = draws.reshape(draws.shape[0], -1)
-    tail = 0.5 * (1.0 - coverage)
     med = np.median(flat, axis=0)
-    lo = np.quantile(flat, tail, axis=0)
-    hi = np.quantile(flat, 1.0 - tail, axis=0)
-    hdi_lo, hdi_hi = _hdi_columns(flat, coverage)
+    hdi_lo, hdi_hi = _hdi_columns(flat, 0.68)
     shape = draws.shape[1:] or (1,)
     return Summary(
         median=med.reshape(shape),
-        lower=lo.reshape(shape),
-        upper=hi.reshape(shape),
         hdi_lower=hdi_lo.reshape(shape),
         hdi_upper=hdi_hi.reshape(shape),
-        coverage=coverage,
     )
 
 
@@ -243,6 +234,9 @@ def regime_moments(y: np.ndarray, probs: np.ndarray) -> list[dict[str, np.ndarra
     y = np.asarray(y, dtype=float)
     probs = np.asarray(probs, dtype=float)
     T, N = y.shape
+    if probs.shape[0] != T:
+        raise ValueError(f"the data have {T} periods but the regime probabilities "
+                         f"cover {probs.shape[0]}")
     M = probs.shape[1]
     out = []
     for m in range(M):

@@ -121,6 +121,8 @@ _SECTION_KEYS = {
     for f in fields(ModelConfig)
     if type(f.default) in _PARSERS and f.name not in ("p", "M", "d_dim")
 }
+_MODEL_KEYS = ("variables", "lags", "regimes", "det_columns")
+_SECTIONS = ("model", "priors", "chain", "transforms", "patterns")
 
 
 def parse_config(text: str) -> ModelConfig:
@@ -138,8 +140,16 @@ def parse_config(text: str) -> ModelConfig:
     except configparser.Error as exc:
         raise ValueError(f"config parse error: {exc}") from None
 
+    for section in cp.sections():
+        if section not in _SECTIONS:
+            raise ValueError(f"unknown section [{section}]; the sections are "
+                             + ", ".join(f"[{name}]" for name in _SECTIONS))
     kw: dict = {}
     model = cp["model"] if cp.has_section("model") else {}
+    for key in model:
+        if key not in _MODEL_KEYS:
+            raise ValueError(f"unknown key {key!r} in [model]; the keys are "
+                             + ", ".join(_MODEL_KEYS))
     if "variables" not in model:
         raise ValueError("config needs [model] variables = ...")
     variables = tuple(v.strip() for v in model["variables"].split(",") if v.strip())

@@ -43,16 +43,17 @@ class Dataset:
 
     ``y`` holds the effective sample (after dropping ``p`` presample rows)
     and ``x`` the matching design rows ``[y_{t-1}, ..., y_{t-p}, d_t]``,
-    whose last ``d_dim`` columns are the deterministic terms.  ``dates``
-    are opaque row labels.
+    whose last ``d_dim`` columns are the deterministic terms.  ``presample``
+    holds the ``p`` dropped rows, oldest first.  ``dates`` are opaque row
+    labels.
     """
 
     y: np.ndarray
     x: np.ndarray
     p: int
+    presample: np.ndarray
     names: tuple[str, ...] = ()
     dates: tuple[str, ...] = field(default=())
-    presample: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         y, x = np.asarray(self.y), np.asarray(self.x)
@@ -142,13 +143,13 @@ def build_design(
     )
 
 
-def empty_dataset(N: int, p: int, d_dim: int = 1, names: tuple[str, ...] = ()) -> Dataset:
-    """Zero-length dataset used for prior-only runs of the sampler."""
+def empty_dataset(N: int, p: int) -> Dataset:
+    """Zero-length dataset with an intercept, used for prior-only runs of the sampler."""
     return Dataset(
         y=np.zeros((0, N)),
-        x=np.zeros((0, N * p + d_dim)),
+        x=np.zeros((0, N * p + 1)),
         p=p,
-        names=tuple(names) or tuple(f"y{i + 1}" for i in range(N)),
+        names=tuple(f"y{i + 1}" for i in range(N)),
         presample=np.zeros((p, N)),
     )
 

@@ -9,10 +9,9 @@ from scipy.special import logsumexp
 
 from .config import ModelConfig
 from .data import Dataset
+from .regimes import _LOG2PI, structural_loglik
 from .simulate import lag_recursion, simulate_regimes, simulate_shocks, simulate_volatility
 from .store import DrawStore
-
-_LOG2PI = np.log(2.0 * np.pi)
 
 
 def _simulate_ahead(
@@ -36,7 +35,7 @@ def _simulate_ahead(
     s = simulate_regimes(P[np.arange(S), s_last], P, steps, rng)
     h = simulate_volatility(store.block("rho"), h_last, steps, rng)
     eps, _ = simulate_shocks(store.block("B"), store.block("omega"), s, h, rng)
-    observed = dataset.y if dataset.presample is None else np.vstack([dataset.presample, dataset.y])
+    observed = np.vstack([dataset.presample, dataset.y])
     lags = np.broadcast_to(observed[-p:], (S, p, N))
     paths = np.concatenate([lags, lag_recursion(store.block("A"), lags, eps)], axis=1)
     if steps == 0:
@@ -82,8 +81,7 @@ def predictive_log_densities(
     if variable is None:
         u = (B @ dev[:, None, :, None])[..., 0]
         logdet = np.linalg.slogdet(B)[1]
-        quad = np.sum(u * u * np.exp(-logvar), axis=-1)
-        loglik = logdet - 0.5 * (N * _LOG2PI + logvar.sum(axis=-1) + quad)
+        loglik = structural_loglik(u, logvar, logdet)
     else:
         row = np.linalg.inv(B)[:, :, variable, :]
         vv = np.sum(row * row * np.exp(logvar), axis=-1)

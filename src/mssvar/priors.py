@@ -60,17 +60,9 @@ def sample_truncated_normal(
 
 
 def sample_gig(lam: float, chi: float, psi: float, rng: np.random.Generator) -> float:
-    """Draw from GIG(lam, chi, psi), with gamma / inverse-gamma edge branches."""
-    if chi < 0 or psi < 0:
-        raise ValueError("GIG requires non-negative chi and psi")
-    if chi == 0:
-        if lam <= 0 or psi <= 0:
-            raise ValueError("GIG with chi=0 requires lam > 0 and psi > 0")
-        return float(rng.gamma(lam, 2.0 / psi))
-    if psi == 0:
-        if lam >= 0:
-            raise ValueError("GIG with psi=0 requires lam < 0")
-        return float(sample_ig2(chi, -2.0 * lam, rng))
+    """Draw from GIG(lam, chi, psi) for positive ``chi`` and ``psi``."""
+    if not (chi > 0 and psi > 0):
+        raise ValueError(f"GIG requires positive chi and psi, got {chi} and {psi}")
     p, b = float(lam), float(np.sqrt(chi * psi))
     scale = np.sqrt(chi / psi)
     if not (p == p and b > 0 and scale >= 0):

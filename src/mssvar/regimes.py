@@ -12,6 +12,14 @@ from .simulate import follow
 _LOG2PI = np.log(2.0 * np.pi)
 
 
+def structural_loglik(u: np.ndarray, logvar: np.ndarray, logdet) -> np.ndarray:
+    """(...) log densities of residuals whose structural shocks ``u`` (..., N)
+    are normal with log variances ``logvar``; ``logdet`` is ``log|det B|``."""
+    N = u.shape[-1]
+    quad = np.sum(u * u * np.exp(-logvar), axis=-1)
+    return logdet - 0.5 * (N * _LOG2PI + logvar.sum(axis=-1) + quad)
+
+
 def regime_loglik_matrix(
     eps: np.ndarray,
     B: np.ndarray,
@@ -21,16 +29,14 @@ def regime_loglik_matrix(
     """(T, M) log densities of each observation under each regime, from the
     (T, N) reduced-form residuals ``eps = y - x A'``; a singular ``B`` raises."""
     M = B.shape[0]
-    T, N = eps.shape
-    out = np.empty((T, M))
+    out = np.empty((eps.shape[0], M))
     for m in range(M):
         sign, logdet = np.linalg.slogdet(B[m])
         if sign == 0:
             raise np.linalg.LinAlgError(f"structural matrix for regime {m + 1} is singular")
         u = eps @ B[m].T
         logvar = omega[:, m][None, :] * h.T  # (T, N)
-        quad = u * u * np.exp(-logvar)
-        out[:, m] = logdet - 0.5 * (N * _LOG2PI + logvar.sum(axis=1) + quad.sum(axis=1))
+        out[:, m] = structural_loglik(u, logvar, logdet)
     return out
 
 

@@ -19,6 +19,9 @@ import numpy as np
 from .data import Dataset, build_design
 from .priors import categorical
 
+# periods simulated and discarded before a generated sample starts
+_BURN = 100
+
 
 @dataclass(frozen=True)
 class DgpTruth:
@@ -51,7 +54,7 @@ def companion_matrix(A: np.ndarray, N: int, p: int) -> np.ndarray:
 
 
 def spectral_radius(F: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(F)))) if F.size else 0.0
+    return float(np.max(np.abs(np.linalg.eigvals(F))))
 
 
 def simulate_regimes(
@@ -125,19 +128,17 @@ def simulate_shocks(
     s: np.ndarray,
     h: np.ndarray,
     rng: np.random.Generator,
-    u: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reduced-form shocks ``B_{s_t}^{-1} u_t``, (..., T, N), and the structural ``u``, (..., N, T).
 
     ``B`` is (..., M, N, N), ``omega`` (..., N, M), ``s`` (..., T) and ``h``
     (..., N, T).  Each ``u_t`` is normal with variances
-    ``exp(omega[:, s_t] * h_t)`` unless ``u`` is given.
+    ``exp(omega[:, s_t] * h_t)``.
     """
     s = np.asarray(s, dtype=np.int64)
-    if u is None:
-        loadings = np.take_along_axis(omega, s[..., None, :], axis=-1)
-        sig = np.sqrt(np.exp(loadings * h))
-        u = sig * rng.standard_normal(sig.shape)
+    loadings = np.take_along_axis(omega, s[..., None, :], axis=-1)
+    sig = np.sqrt(np.exp(loadings * h))
+    u = sig * rng.standard_normal(sig.shape)
     Binv = np.take_along_axis(np.linalg.inv(B), s[..., :, None, None], axis=-3)
     return (Binv @ np.swapaxes(u, -1, -2)[..., None])[..., 0], u
 
@@ -170,14 +171,13 @@ def simulate_observations(
     h: np.ndarray,
     presample: np.ndarray,
     rng: np.random.Generator,
-    u: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate observations given latent paths; returns (y, u).
 
     ``presample`` supplies the p initial rows; the deterministic term is an
-    intercept.  If ``u`` is given the structural shocks are taken as-is.
+    intercept.
     """
-    eps, u = simulate_shocks(truth.B, truth.omega, s, h, rng, u)
+    eps, u = simulate_shocks(truth.B, truth.omega, s, h, rng)
     return lag_recursion(truth.A, presample, eps), u
 
 
@@ -187,13 +187,12 @@ def generate_dgp(
     rng: np.random.Generator,
     *,
     p: int | None = None,
-    burn: int = 100,
 ) -> tuple[Dataset, SimulationRecord]:
     """Simulate a dataset of T effective observations.
 
-    Starts from zero presample values and discards ``burn`` initial periods
-    so observation and latent paths forget their initialization.  An
-    explosive autoregressive part is flagged, not rejected.
+    Starts from zero presample values and discards the first ``_BURN``
+    periods so observation and latent paths forget their initialization.
+    An explosive autoregressive part is flagged, not rejected.
     """
     N = truth.A.shape[0]
     if p is None:
@@ -204,19 +203,19 @@ def generate_dgp(
     explosive = spectral_radius(F) >= 1.0
     if explosive:
         warnings.warn("autoregressive part is explosive; simulated paths may diverge")
-    total = burn + p + T
+    total = _BURN + p + T
     s_all = simulate_regimes(truth.pi0, truth.P, total, rng)
     h_all = simulate_volatility(truth.rho, np.zeros(N), total, rng)
     y_all, u_all = simulate_observations(truth, s_all, h_all, np.zeros((p, N)), rng)
     if not np.all(np.isfinite(y_all)):
         raise FloatingPointError("simulated path diverged; check stability of the truth")
-    y_raw = y_all[burn:]
+    y_raw = y_all[_BURN:]
     dataset = build_design(y_raw, np.ones((p + T, 1)), p,
                            names=tuple(f"y{i + 1}" for i in range(N)))
     record = SimulationRecord(
-        s=s_all[burn + p :].copy(),
-        h=h_all[:, burn + p :].copy(),
-        u=u_all[:, burn + p :].copy(),
+        s=s_all[_BURN + p :].copy(),
+        h=h_all[:, _BURN + p :].copy(),
+        u=u_all[:, _BURN + p :].copy(),
         explosive=explosive,
     )
     return dataset, record
@@ -231,9 +230,8 @@ def write_csv(path: str, dataset: Dataset) -> None:
     """Emit presample plus effective rows in the loader's expected layout."""
     import csv
 
-    pres = dataset.presample if dataset.presample is not None else np.zeros((0, dataset.N))
     names = dataset.names or tuple(f"y{i + 1}" for i in range(dataset.N))
-    y_raw = np.vstack([pres, dataset.y])
+    y_raw = np.vstack([dataset.presample, dataset.y])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", *names])

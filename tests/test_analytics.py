@@ -22,7 +22,7 @@ from mssvar.data import build_design
 from mssvar.engine import run_chain
 from mssvar.patterns import build_pattern_set
 from mssvar.regimes import regime_loglik_matrix
-from mssvar.simulate import DgpTruth, simulate_observations
+from mssvar.simulate import lag_recursion
 from mssvar.store import allocate_store
 
 
@@ -180,20 +180,16 @@ def test_irf_normalization_is_exact():
 
 
 def test_irf_matches_simulated_difference():
-    rng = np.random.default_rng(112)
     A = np.array([[0.4, 0.1, 0.0], [-0.2, 0.6, 0.0]])
     B = np.array([[1.5, 0.0], [0.7, 2.0]])
-    truth = DgpTruth(A=A, B=B[None], P=np.eye(1), pi0=np.ones(1),
-                     omega=np.zeros((2, 1)), rho=np.zeros(2))
     H = 10
-    s = np.zeros(H + 1, dtype=np.int64)
-    h = np.zeros((2, H + 1))
     pres = np.zeros((1, 2))
-    u0 = np.zeros((2, H + 1))
-    base, _ = simulate_observations(truth, s, h, pres, rng, u=u0)
-    u1 = u0.copy()
-    u1[0, 0] = 1.0
-    shocked, _ = simulate_observations(truth, s, h, pres, rng, u=u1)
+    # reduced-form shocks B^{-1} u of a unit structural shock and of none
+    eps0 = np.zeros((H + 1, 2))
+    base = lag_recursion(A, pres, eps0)
+    eps1 = eps0.copy()
+    eps1[0] = np.linalg.inv(B) @ np.array([1.0, 0.0])
+    shocked = lag_recursion(A, pres, eps1)
     want = shocked - base
     got = impulse_responses(A, B, H, 0, p=1)
     assert np.max(np.abs(got - want)) < 1e-8
@@ -263,7 +259,6 @@ def test_sddr_rejects_bad_variances():
 def test_summarize_constant_draws_zero_width():
     out = summarize(np.full((50, 3), 2.5))
     assert_allclose(out.median, 2.5)
-    assert_allclose(out.upper - out.lower, 0.0, atol=1e-15)
     assert_allclose(out.hdi_upper - out.hdi_lower, 0.0, atol=1e-15)
 
 
@@ -271,18 +266,23 @@ def test_summarize_hdi_matches_each_column_alone():
     rng = np.random.default_rng(115)
     draws = np.round(rng.normal(size=(100, 5, 3)), 1)  # rounding makes tied widths
     draws[:, 0, 0] = 0.0
+    out = summarize(draws)
+    for i, j in np.ndindex(5, 3):
+        alone = summarize(draws[:, i, j])
+        assert (out.hdi_lower[i, j], out.hdi_upper[i, j]) == (alone.hdi_lower[0],
+                                                              alone.hdi_upper[0])
+    flat = draws.reshape(100, 15)
     for coverage in (0.01, 0.68, 0.995):
-        out = summarize(draws, coverage)
-        for i, j in np.ndindex(5, 3):
-            alone = summarize(draws[:, i, j], coverage)
-            assert (out.hdi_lower[i, j], out.hdi_upper[i, j]) == (alone.hdi_lower[0],
-                                                                  alone.hdi_upper[0])
+        lo, hi = _hdi_columns(flat, coverage)
+        for c in range(15):
+            col_lo, col_hi = _hdi_columns(flat[:, c:c + 1], coverage)
+            assert (lo[c], hi[c]) == (col_lo[0], col_hi[0])
 
 
 def test_hdi_matches_normal_quantiles():
     rng = np.random.default_rng(113)
     draws = rng.standard_normal(200_000)
-    out = summarize(draws, 0.68)
+    out = summarize(draws)
     lo, hi = out.hdi_lower[0], out.hdi_upper[0]
     assert abs(lo + 1.0) < 0.02 and abs(hi - 1.0) < 0.02
     inside = np.mean((draws >= lo) & (draws <= hi))
@@ -292,8 +292,7 @@ def test_hdi_matches_normal_quantiles():
 def test_hdi_prefers_the_dense_side():
     rng = np.random.default_rng(114)
     draws = rng.exponential(size=100_000)
-    out = summarize(draws, 0.5)
-    lo, hi = out.hdi_lower[0], out.hdi_upper[0]
+    lo, hi = (v[0] for v in _hdi_columns(draws[:, None], 0.5))
     assert lo < 0.01  # mass piles up at zero
     assert hi < np.quantile(draws, 0.75)
     with pytest.raises(ValueError):
@@ -308,3 +307,10 @@ def test_regime_moments_hard_assignment_and_empty_regime():
     assert out[0]["weight"] == 3.0
     assert np.all(np.isnan(out[1]["mean"]))
     assert out[1]["weight"] == 0.0
+
+
+def test_regime_moments_rejects_probabilities_of_another_length():
+    y = np.ones((58, 2))
+    probs = np.full((200, 2), 0.5)
+    with pytest.raises(ValueError, match="58 periods .* cover 200"):
+        regime_moments(y, probs)

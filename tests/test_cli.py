@@ -338,6 +338,27 @@ def test_validation_errors_exit_one(workspace, tmp_path):
                  "--out", str(tmp_path / "y")]) == 1
 
 
+def test_misspelled_config_exits_one(workspace, tmp_path, capsys):
+    _, _, data, _ = workspace
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("[model]\nvariables = y1, y2\nlag = 4\n")
+    out = tmp_path / "typo"
+    assert main(["estimate", "--config", str(cfg), "--data", str(data),
+                 "--out", str(out)]) == 1
+    assert "unknown key 'lag' in [model]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_moments_with_data_of_another_length_exits_one(workspace, tmp_path, capsys):
+    _, cfg, _, run = workspace
+    short = tmp_path / "short.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(short),
+                 "-T", "30", "--seed", "15"]) == 0
+    assert main(["analyze", "moments", "--store", str(run), "--data", str(short)]) == 1
+    assert "the data have 30 periods but the regime probabilities cover 60" in (
+        capsys.readouterr().err)
+
+
 def test_series_count_mismatch_exits_one(workspace, tmp_path):
     _, _, data, _ = workspace
     cfg3 = tmp_path / "three.cfg"

@@ -106,3 +106,16 @@ def test_invalid_configs_rejected():
         ModelConfig(N=2, nu_B=-1.0)
     with pytest.raises(ValueError, match="pattern set"):
         ModelConfig(N=3, patterns=build_pattern_set(None, 2))
+
+
+@pytest.mark.parametrize("key", ["lag", "regime", "variable", "det_column", "draws"])
+def test_unknown_model_key_is_named(key):
+    with pytest.raises(ValueError, match=f"unknown key '{key}' in \\[model\\]"):
+        parse_config(f"[model]\nvariables = a, b\n{key} = 2\n")
+
+
+@pytest.mark.parametrize("section", ["prior", "Priors", "chains", "pattern", "misc"])
+def test_unknown_section_is_named(section):
+    # a misspelled [priors] must not leave nu_B at its default unnoticed
+    with pytest.raises(ValueError, match=f"unknown section \\[{section}\\]"):
+        parse_config(f"[model]\nvariables = a, b\n\n[{section}]\nnu_B = -5\n")

@@ -75,12 +75,13 @@ def test_build_design_rejects_short_samples():
 
 def test_dataset_shape_validation():
     with pytest.raises(ValueError, match="design shape"):
-        Dataset(y=np.ones((4, 2)), x=np.ones((4, 3)), p=2)
+        Dataset(y=np.ones((4, 2)), x=np.ones((4, 3)), p=2, presample=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="design shape"):
-        Dataset(y=np.ones((4, 2)), x=np.ones((3, 5)), p=2)
+        Dataset(y=np.ones((4, 2)), x=np.ones((3, 5)), p=2, presample=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="non-finite"):
-        Dataset(y=np.array([[np.nan, 1.0]]), x=np.ones((1, 3)), p=1)
-    assert Dataset(y=np.ones((4, 2)), x=np.ones((4, 4)), p=2).d_dim == 0
+        Dataset(y=np.array([[np.nan, 1.0]]), x=np.ones((1, 3)), p=1, presample=np.zeros((1, 2)))
+    assert Dataset(y=np.ones((4, 2)), x=np.ones((4, 4)), p=2,
+                   presample=np.zeros((2, 2))).d_dim == 0
 
 
 def test_build_design_rejects_misaligned_deterministic_terms():

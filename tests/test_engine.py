@@ -58,14 +58,14 @@ def test_initialize_rank_deficient_design_errors():
     rng = np.random.default_rng(72)
     y = rng.normal(size=(20, 2))
     x = np.column_stack([y[:, :1], y[:, :1], np.ones(20)])  # duplicated column
-    ds = Dataset(y=y, x=x, p=1)
+    ds = Dataset(y=y, x=x, p=1, presample=np.zeros((1, 2)))
     with pytest.raises(ValueError, match="rank"):
         initialize_state(ModelConfig(N=2, p=1, draws=1), ds, np.random.default_rng(0))
 
 
 def test_initialize_prior_mode_uses_unit_root_center():
     config = _small_config()
-    ds = empty_dataset(2, 1, 1)
+    ds = empty_dataset(2, 1)
     state = initialize_state(config, ds, np.random.default_rng(3))
     assert_allclose(state.A, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     assert_allclose(state.B[0], np.eye(2))
@@ -86,7 +86,7 @@ def test_sweep_preserves_invariants():
 
 def test_sweep_prior_mode_runs_and_validates():
     config = _small_config()
-    ds = empty_dataset(2, 1, 1)
+    ds = empty_dataset(2, 1)
     rng = np.random.default_rng(74)
     state = initialize_state(config, ds, rng)
     for _ in range(50):
@@ -97,7 +97,7 @@ def test_sweep_prior_mode_runs_and_validates():
 
 def test_sweep_prior_mode_indicator_is_uniform():
     config = _small_config()
-    ds = empty_dataset(2, 1, 1)
+    ds = empty_dataset(2, 1)
     rng = np.random.default_rng(75)
     state = initialize_state(config, ds, rng)
     hits = 0

@@ -27,7 +27,7 @@ from mssvar.selfcheck import enumerate_regime_marginals
 def _toy_dataset(rng, N, T):
     y = rng.normal(size=(T, N))
     x = np.column_stack([rng.normal(size=(T, N)), np.ones(T)])
-    return Dataset(y=y, x=x, p=1)
+    return Dataset(y=y, x=x, p=1, presample=np.zeros((1, N)))
 
 
 # ---------------------------------------------------------------------------

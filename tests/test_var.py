@@ -27,7 +27,7 @@ def test_minnesota_moments_single_lag():
 
 
 def test_prior_only_posterior_is_the_prior():
-    ds = empty_dataset(2, 1, 1)
+    ds = empty_dataset(2, 1)
     gamma_A = np.array([2.0, 0.5])
     mean, L = autoregressive_posterior(
         ds, np.eye(2)[None], np.zeros(0, dtype=int), np.zeros((2, 0)), gamma_A
@@ -142,7 +142,8 @@ def test_singular_precision_takes_the_ridge():
     # the lag column repeats the intercept and the prior is flat to rounding,
     # so the precision is exactly [[4, 4], [4, 4]] and factors only after
     # the ridge of 1e-10 times its mean diagonal
-    ds = Dataset(y=np.array([[1.0], [2.0], [0.0], [1.0]]), x=np.ones((4, 2)), p=1)
+    ds = Dataset(y=np.array([[1.0], [2.0], [0.0], [1.0]]), x=np.ones((4, 2)), p=1,
+                 presample=np.zeros((1, 1)))
     mean, L = autoregressive_posterior(
         ds, np.ones((1, 1, 1)), np.zeros(4, dtype=int), np.ones((1, 4)), np.array([1e300])
     )

@@ -9,10 +9,13 @@ JSON object as its parent. Run the script in both checkouts and compare:
 It takes no options. It covers ten ``run_chain`` stores of nine configs
 (every block, ``logml`` included), the simulated datasets and latent paths
 behind them, predictive draws and log densities on six of those stores,
-and the Geweke z-scores of the ``selfcheck --fast`` run and of acceptance
-criterion 03's clean and mutated runs. The two 20 000-cycle Geweke runs
-take most of its few minutes. It runs with one BLAS thread, as the
-benchmark does.
+the post-processing of the ``criterion10`` and ``desk401`` stores after
+label normalisation (regime and pattern probabilities, volatility density
+ratios, impulse responses and their summaries), the CSV and JSON files
+that ``mssvar simulate --truth`` writes for two configs, and the Geweke
+z-scores of the ``selfcheck --fast`` run and of acceptance criterion 03's
+clean and mutated runs. The two 20 000-cycle Geweke runs take most of its
+few minutes. It runs with one BLAS thread, as the benchmark does.
 
 It is not a test: a deliberate change to the sampler's arithmetic changes
 these digests, and that is what the comparison is there to show.
@@ -20,10 +23,12 @@ these digests, and that is what the comparison is there to show.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import sys
+import tempfile
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -34,7 +39,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from mssvar import forecast  # noqa: E402
+from mssvar import analytics, forecast  # noqa: E402
+from mssvar.cli import main as cli_main  # noqa: E402
 from mssvar.config import ModelConfig  # noqa: E402
 from mssvar.data import empty_dataset  # noqa: E402
 from mssvar.engine import run_chain  # noqa: E402
@@ -114,6 +120,62 @@ def cases():
     yield "one_variable", config, ds, lat, (0,)
 
 
+# stores whose post-processing is digested, and the horizon of their responses
+ANALYZED = ("criterion10", "desk401")
+IRF_HORIZON = 12
+
+# (config text, -T, --seed) for each ``mssvar simulate --truth`` run
+SIMULATE_CONFIGS = {
+    "two_regimes": ("[model]\nvariables = y1, y2\nlags = 1\nregimes = 2\n\n"
+                    "[patterns]\neq1 = **, *0\n", 80, 14),
+    "one_regime": ("[model]\nvariables = a, b, c\nlags = 2\n", 300, 3),
+}
+
+
+def analysis_digests(prefix: str, store) -> dict[str, str]:
+    """Digests of the post-processing of ``store``, after label normalisation."""
+    config = store.config
+    analytics.normalize_draws(store, "labels")
+    out = {f"{prefix}/regime_probabilities": digest(analytics.regime_probabilities(store))}
+    for n in config.patterns.tvi_equations:
+        out[f"{prefix}/tvi_eq{n}"] = digest(analytics.tvi_probabilities(store, n))
+    out[f"{prefix}/change_probability"] = digest(
+        np.array(analytics.joint_tvi_change_probability(store)))
+    for n in range(config.N):
+        for m in range(config.M):
+            out[f"{prefix}/sddr_{n}_{m}"] = digest(
+                np.array(analytics.heteroskedasticity_sddr(store, n, m)))
+    for m in range(config.M):
+        for shock in range(config.N):
+            draws = analytics.impulse_response_draws(store, m, IRF_HORIZON, shock)
+            key = f"{prefix}/irf_{m}_{shock}"
+            out[key] = digest(draws)
+            summ = analytics.summarize(draws)
+            for field in ("median", "hdi_lower", "hdi_upper"):
+                out[f"{key}/{field}"] = digest(getattr(summ, field))
+    return out
+
+
+def simulate_digests() -> dict[str, str]:
+    """Digests of the files that ``mssvar simulate --truth`` writes."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (text, periods, seed) in SIMULATE_CONFIGS.items():
+            cfg, csv_path, truth_path = (os.path.join(tmp, f"{name}.{ext}")
+                                         for ext in ("cfg", "csv", "json"))
+            with open(cfg, "w") as fh:
+                fh.write(text)
+            argv = ["simulate", "--config", cfg, "--out", csv_path, "--truth", truth_path,
+                    "-T", str(periods), "--seed", str(seed)]
+            with contextlib.redirect_stdout(sys.stderr):  # stdout carries the digests
+                if cli_main(argv) != 0:
+                    raise RuntimeError(f"mssvar {' '.join(argv)} failed")
+            for kind, path in (("csv", csv_path), ("json", truth_path)):
+                with open(path, "rb") as fh:
+                    out[f"simulate/{name}/{kind}"] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
 def main() -> None:
     out = {}
     for name, config, ds, lat, chains in cases():
@@ -136,6 +198,9 @@ def main() -> None:
                     forecast.predictive_log_densities(store, ds, y_f, horizon, seed=4))
             out[f"predictive/{name}/log_density_var0"] = digest(
                 forecast.predictive_log_densities(store, ds, y_f, 2, seed=4, variable=0))
+            if name in ANALYZED:
+                out.update(analysis_digests(f"analytics/{name}", store))
+    out.update(simulate_digests())
 
     runs = {
         "selfcheck_fast": (2_000, 5, 1.0),
