@@ -133,8 +133,8 @@ def _statistics(state: ParameterState, config: ModelConfig) -> dict[str, float]:
     for n in config.patterns.tvi_equations:
         for m in range(M):
             stats[f"kappa0[{n},{m}]"] = float(state.kappa[n, m] == 0)
-    stats["s_frac[0]"] = float(np.mean(state.s == 0)) if state.s.size else 0.5
-    stats["h_tanh[0,last]"] = float(np.tanh(state.h[0, -1])) if state.h.shape[1] else 0.0
+    stats["s_frac[0]"] = float(np.mean(state.s == 0))
+    stats["h_tanh[0,last]"] = float(np.tanh(state.h[0, -1]))
     return stats
 
 
@@ -182,6 +182,8 @@ def geweke_joint_test(
     """
     if not 1 <= batches <= iterations:
         raise ValueError(f"need 1 <= batches <= iterations, got {batches} and {iterations}")
+    if T < 1:  # the regime share and the last log volatility need a period
+        raise ValueError(f"need T >= 1, got {T}")
     rng_mc, rng_sc = rng.spawn(2)
     presample = np.zeros((config.p, config.N))
 

@@ -28,9 +28,17 @@ from scipy.linalg import lapack
 # samplers
 
 
+def _any_nonpositive(x) -> bool:
+    # a Python or numpy float compares directly, many times faster than
+    # through an array; like the array test, a NaN is not caught
+    if isinstance(x, (int, float)):
+        return x <= 0
+    return bool((np.asarray(x) <= 0).any())
+
+
 def sample_ig2(s: float, nu: float, rng: np.random.Generator, size=None) -> np.ndarray | float:
     """Draw from IG2(s, nu) via s over a chi-squared variate; ``s`` and ``nu`` may be arrays."""
-    if (np.asarray(s) <= 0).any() or (np.asarray(nu) <= 0).any():
+    if _any_nonpositive(s) or _any_nonpositive(nu):
         raise ValueError("IG2 requires positive scale and degrees of freedom")
     return s / rng.chisquare(nu, size=size)
 
@@ -219,15 +227,56 @@ def solve_lower(L: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray
     return x
 
 
-def categorical(probs: np.ndarray, u) -> np.ndarray:
-    """Inverse-CDF categorical draws over the last axis of ``probs`` (..., K).
+def category_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of ``x`` (K, ...), with the bits of numpy's
+    ``sum(axis=-1)`` over the same terms laid out last (up to the sign of a
+    zero sum).
 
-    Each draw is the count of cumulative probabilities at or below its
-    uniform ``u`` (broadcast against ``probs[..., 0]``), capped at K - 1 so
-    that a ``u`` above a rounded total still lands on the last category.
+    numpy adds fewer than 8 terms one by one; up to 128 it keeps eight
+    running sums, joins them pairwise and adds the remainder one by one;
+    beyond that it sums two halves, the first a multiple of 8 long.  Every
+    step here adds whole (...) planes, which is much faster than a
+    reduction along a short last axis.
     """
-    cum = np.cumsum(probs, axis=-1)
-    return np.minimum((cum <= np.asarray(u)[..., None]).sum(axis=-1), cum.shape[-1] - 1)
+    K = x.shape[0]
+    if K > 128:
+        half = K // 2 - (K // 2) % 8
+        return category_sum(x[:half]) + category_sum(x[half:])
+    if K < 8:
+        total = x[0].copy()
+        rest = x[1:]
+    else:
+        end = K - K % 8
+        r = x[:8]
+        for i in range(8, end, 8):
+            r = r + x[i : i + 8]
+        r = r[0::2] + r[1::2]  # r0 + r1, r2 + r3, r4 + r5, r6 + r7
+        r = r[0::2] + r[1::2]
+        total = r[0] + r[1]
+        rest = x[end:]
+    for term in rest:
+        total += term
+    return total
+
+
+def categorical(probs: np.ndarray, u) -> np.ndarray:
+    """Inverse-CDF categorical draws over the first axis of ``probs`` (K, ...).
+
+    Each draw is the count of the cumulative probabilities of the first
+    K - 1 categories that are at or below its uniform ``u`` (broadcast
+    against ``probs[0]``), so that a ``u`` above a rounded total still
+    lands on the last category.  The cumulative sums add one whole plane
+    at a time, in the order of ``np.cumsum``, which along a first axis
+    walks the planes element by element and is many times slower.
+    """
+    u = np.asarray(u)
+    cum = np.empty(probs[:-1].shape)
+    cum[:1] = probs[:1]
+    for k in range(1, cum.shape[0]):  # slices, so that a 1-D probs adds in place too
+        np.add(cum[k - 1 : k], probs[k : k + 1], out=cum[k : k + 1])
+    # uniforms with more axes than a plane broadcast behind the category axis
+    cum = cum.reshape(cum.shape[:1] + (1,) * (u.ndim - cum.ndim + 1) + cum.shape[1:])
+    return (cum <= u).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

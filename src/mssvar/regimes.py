@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 
-from .priors import categorical
+from .priors import categorical, category_sum
 from .simulate import follow
 
 _LOG2PI = np.log(2.0 * np.pi)
@@ -106,7 +106,9 @@ def _compose(S1, a1, S2, a2):
     Row i is shifted by the largest log weight ``log S1[i, k] + a2[k]`` of
     a column k that it reaches, so its dominant term enters at scale one.
     """
-    G = np.log(S1) + a2[..., None, :]
+    # a2 repeated for every row i: a contiguous add, cheaper even with the
+    # copy than broadcasting along the short last axis
+    G = np.log(S1) + np.repeat(a2[..., None, :], a2.shape[-1], axis=-2)
     b = _row_max(G)
     b = np.where(b > -np.inf, b, 0.0)  # a zero row reaches nothing and stays zero
     return _scale_rows(np.exp(G - b[..., None]) @ S2, a1 + b)
@@ -124,13 +126,14 @@ def backward_sample(
     if T == 0:
         return np.empty(0, dtype=np.int64)
     u = rng.random(T)
-    # w[t, j, i] = filtered[t, i] * P[i, j]: the weight of regime i at t given j at t + 1
-    w = filtered[:-1, None, :] * np.ascontiguousarray(P.T)
-    total = w.sum(axis=-1)
+    # w[i, t, j] = filtered[t, i] * P[i, j]: the weight of regime i at t given
+    # j at t + 1, with the categories i first, as categorical takes them
+    w = filtered[:-1].T[:, :, None] * P[:, None, :]
+    total = category_sum(w)
     with np.errstate(invalid="ignore", divide="ignore"):
         # prev[t, j] is the regime at t of a path in regime j at t + 1; a row
         # with zero total is 0/0, which matters only if the path enters it
-        prev = categorical(w / total[..., None], u[:0:-1, None])
+        prev = categorical(w / total, u[:0:-1, None])
     s = follow(categorical(filtered[-1], u[0]), prev[::-1])[::-1].copy()
     collapsed = np.flatnonzero(total[np.arange(T - 1), s[1:]] <= 0.0)
     if collapsed.size:

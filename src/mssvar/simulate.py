@@ -71,9 +71,10 @@ def simulate_regimes(
     if T == 0:
         return np.empty((*batch, 0), dtype=np.int64)
     u = rng.random((*batch, T))
-    # nxt[..., t, j] is the regime at t + 1 of a path in regime j at t
-    nxt = categorical(np.asarray(P)[..., None, :, :], u[..., 1:, None])
-    return follow(categorical(first_probs, u[..., 0]), nxt)
+    # nxt[..., t, j] is the regime at t + 1 of a path in regime j at t; the
+    # categories, the next regimes, go first
+    nxt = categorical(np.moveaxis(np.asarray(P), -1, 0)[..., None, :], u[..., 1:, None])
+    return follow(categorical(np.moveaxis(first_probs, -1, 0), u[..., 0]), nxt)
 
 
 def follow(first: np.ndarray, nxt: np.ndarray) -> np.ndarray:

@@ -42,9 +42,8 @@ def row_posterior_precision(
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    r = len(free_idx)
-    S = crossprod[np.ix_(free_idx, free_idx)].copy()
-    S[np.diag_indices(r)] += 1.0 / gamma
+    S = crossprod[free_idx[:, None], free_idx]  # a copy, as fancy indexing makes
+    S.flat[:: len(free_idx) + 1] += 1.0 / gamma
     return S
 
 

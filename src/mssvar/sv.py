@@ -13,9 +13,9 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import lapack
 
-from .priors import categorical, sample_gig, sample_truncated_normal
+from .priors import categorical, category_sum, sample_gig, sample_truncated_normal
 
 RESIDUAL_FLOOR = 1e-10
 
@@ -35,6 +35,12 @@ MIXTURE = SimpleNamespace(
         0.98583, 1.57469, 2.54498, 4.16591, 7.33342,
     ]),
 )
+
+
+# the mixture's constants, one (1, 1) plane per component
+_MEANS = MIXTURE.means[:, None, None]
+_VARIANCES = MIXTURE.variances[:, None, None]
+_LOG_SCALES = (np.log(MIXTURE.probs) - 0.5 * np.log(2.0 * np.pi * MIXTURE.variances))[:, None, None]
 
 
 def conditional_variances(omega: np.ndarray, h: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -59,17 +65,22 @@ def draw_mixture_indicators(
     s: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Component labels for every (equation, period) residual."""
+    """Component labels for every (equation, period) residual.
+
+    The log weights are laid out component first, (10, N, T), so that every
+    operation runs over whole (N, T) planes; each entry has the bits of the
+    same expression laid out component last, and ``category_sum`` adds the
+    normaliser in numpy's order for a last axis.
+    """
     z = logu2 - omega[:, s] * h  # approximate log chi2(1) noise
-    dev = z[..., None] - MIXTURE.means
-    logp = (
-        np.log(MIXTURE.probs)
-        - 0.5 * np.log(2.0 * np.pi * MIXTURE.variances)
-        - 0.5 * dev**2 / MIXTURE.variances
-    )
-    logp -= logp.max(axis=-1, keepdims=True)
-    probs = np.exp(logp)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    logp = z - _MEANS
+    np.square(logp, out=logp)
+    logp *= 0.5
+    logp /= _VARIANCES
+    np.subtract(_LOG_SCALES, logp, out=logp)
+    logp -= logp.max(axis=0)
+    probs = np.exp(logp, out=logp)
+    probs /= category_sum(probs)
     return categorical(probs, rng.random(z.shape))
 
 
@@ -103,10 +114,59 @@ def draw_log_volatilities(
     band[0, :, 1:] = -rho[:, None]  # column 0 stays 0: no coupling to the previous equation
     band = band.reshape(2, N * T)
     band[1] += (a * a / v).reshape(-1)
-    U = linalg.cholesky_banded(band, lower=False)
-    mean = linalg.cho_solve_banded((U, False), (a * ytil / v).reshape(-1))
+    U = _banded_cholesky(band)
+    mean = _banded_cho_solve(U, (a * ytil / v).reshape(-1))
     z = rng.standard_normal(N * T)
-    return (mean + linalg.solve_banded((0, 1), U, z)).reshape(N, T)
+    return (mean + _upper_bidiagonal_solve(U, z)).reshape(N, T)
+
+
+# The three banded steps are the LAPACK calls that scipy.linalg's
+# ``cholesky_banded(band)``, ``cho_solve_banded((U, False), b)`` and
+# ``solve_banded((0, 1), U, z)`` make, with their errors and their branches
+# for an empty and a 1 x 1 system, and so the same bits, without their
+# per-call dispatch and validation layers.  Their finite checks stay too,
+# once per array: the factor is checked before its first solve, and a
+# standard-normal draw is always finite.
+
+
+def _banded_cholesky(band: np.ndarray) -> np.ndarray:
+    band = np.asarray_chkfinite(band)
+    if band.size == 0:
+        return np.empty_like(band)
+    U, info = lapack.dpbtrf(band, lower=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {info}-th argument of internal pbtrf")
+    return U
+
+
+def _banded_cho_solve(U: np.ndarray, b: np.ndarray) -> np.ndarray:
+    U = np.asarray_chkfinite(U)
+    b = np.asarray_chkfinite(b)
+    if b.size == 0:
+        return np.empty_like(b)
+    x, info = lapack.dpbtrs(U, b, lower=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal pbtrs")
+    return x
+
+
+def _upper_bidiagonal_solve(U: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Solve ``U x = z`` for the upper bidiagonal ``U`` in banded form."""
+    if z.size == 0:
+        return np.empty_like(z)
+    if z.size == 1:
+        return z / U[1, 0]
+    # no subdiagonal (kl = 0), so gbsv's LU does no pivoting: a plain back substitution
+    _, _, x, info = lapack.dgbsv(0, 1, U, z)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
+    return x
 
 
 def draw_omega(

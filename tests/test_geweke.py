@@ -1,6 +1,7 @@
 """Joint-distribution harness: prior sampler sanity and z-score panel."""
 
 import numpy as np
+import pytest
 
 from mssvar import geweke
 from mssvar.geweke import geweke_joint_test, prior_draw
@@ -60,3 +61,8 @@ def test_harness_restarts_each_batch_from_a_prior_draw(monkeypatch):
     monkeypatch.setattr(geweke, "prior_draw", counting_prior_draw)
     geweke_joint_test(_config(), 400, np.random.default_rng(3), T=12, batches=20)
     assert len(calls) == 400 + 20
+
+
+def test_harness_needs_a_period():
+    with pytest.raises(ValueError, match="T >= 1"):
+        geweke_joint_test(_config(), 400, np.random.default_rng(3), T=0, batches=20)

@@ -184,18 +184,18 @@ def test_categorical_caps_at_the_last_category():
     assert categorical(np.array([0.2, 0.3]), 0.9) == 1  # a short total still lands in range
 
 
-def test_categorical_broadcasts_over_leading_axes():
+def test_categorical_broadcasts_over_trailing_axes():
     rng = np.random.default_rng(67)
-    probs = rng.dirichlet(np.ones(4), size=(3, 5))
+    probs = np.moveaxis(rng.dirichlet(np.ones(4), size=(3, 5)), -1, 0)  # categories first
     u = rng.random((2, 3, 5))
     draws = categorical(probs, u)
     assert draws.shape == (2, 3, 5)
     for idx in np.ndindex(2, 3, 5):
-        cum = np.cumsum(probs[idx[1:]])
+        cum = np.cumsum(probs[(slice(None), *idx[1:])])
         assert draws[idx] == min(np.searchsorted(cum, u[idx], side="right"), 3)
     # one probability vector shared by a batch of uniforms
-    shared = np.broadcast_to(probs[0, 0], (2, 3, 5, 4))
-    assert np.array_equal(categorical(probs[0, 0], u), categorical(shared, u))
+    shared = np.broadcast_to(probs[:, 0, 0, None, None, None], (4, 2, 3, 5))
+    assert np.array_equal(categorical(probs[:, 0, 0], u), categorical(shared, u))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ JSON object as its parent. Run the script in both checkouts and compare:
 
     python3 tools/output_digests.py > digests.json
 
-It takes no options. It covers ten ``run_chain`` stores of nine configs
+It takes no options. It covers eleven ``run_chain`` stores of ten configs
 (every block, ``logml`` included), the simulated datasets and latent paths
-behind them, predictive draws and log densities on six of those stores,
+behind them, predictive draws and log densities on seven of those stores,
 the post-processing of the ``criterion10`` and ``desk401`` stores after
 label normalisation (regime and pattern probabilities, volatility density
 ratios, impulse responses and their summaries), the CSV and JSON files
@@ -81,6 +81,14 @@ HOMOSKEDASTIC = _truth(
 ONE_VARIABLE = _truth(
     [[0.5, 0.2, 0.1]], [[[1.0]], [[1.5]]], [[0.95, 0.05], [0.05, 0.95]], [[0.6, -0.6]], [0.8],
 )
+# five variables and three lags, wider than any other case in both N and J
+WIDE = _truth(
+    np.hstack([0.4 * np.eye(5) + 0.05 * np.eye(5, k=1), 0.1 * np.eye(5), -0.05 * np.eye(5),
+               np.full((5, 1), 0.1)]),
+    [np.eye(5) - 0.3 * np.eye(5, k=-1), np.eye(5) + 0.4 * np.eye(5, k=-2)],
+    [[0.95, 0.05], [0.05, 0.95]],
+    [[0.5, -0.5], [0.4, 0.3], [-0.3, 0.6], [0.2, -0.2], [0.6, 0.1]], [0.7, 0.8, 0.6, 0.9, 0.5],
+)
 
 
 def cases():
@@ -118,6 +126,13 @@ def cases():
     ds, lat = generate_dgp(ONE_VARIABLE, 100, np.random.default_rng(12))
     config = ModelConfig(N=1, p=2, M=2, draws=50, burnin=20, seed=13)
     yield "one_variable", config, ds, lat, (0,)
+
+    ds, lat = generate_dgp(WIDE, 150, np.random.default_rng(15))
+    config = ModelConfig(N=5, p=3, M=2,
+                         patterns=build_pattern_set(
+                             {0: ["*****", "****0", "*0*00"], 2: ["***00", "*0*0*"]}, 5),
+                         draws=30, burnin=10, seed=16)
+    yield "wide", config, ds, lat, (0,)
 
 
 # stores whose post-processing is digested, and the horizon of their responses
