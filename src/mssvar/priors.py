@@ -356,13 +356,6 @@ class ShrinkageChain:
             nu_s=nu_s,
         )
 
-    @classmethod
-    def from_prior(cls, N: int, rng: np.random.Generator, *, nu, nu_gamma, s_s, nu_s):
-        s_gamma = float(sample_ig2(s_s, nu_s, rng))
-        s = sample_gamma(nu_gamma, s_gamma, rng, size=N)
-        gamma = sample_ig2(s, nu, rng, size=N)
-        return cls(gamma=gamma, s=s, s_gamma=s_gamma, nu=nu, nu_gamma=nu_gamma, s_s=s_s, nu_s=nu_s)
-
 
 def update_shrinkage_chain(
     chain: ShrinkageChain,

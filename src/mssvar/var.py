@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import lapack
 
 from .data import Dataset
 from .priors import precision_cholesky, solve_lower
@@ -36,6 +36,7 @@ def _contraction_path(subscripts: str, *shapes: tuple[int, ...]) -> list:
 
 
 _ONE_CONTRACTION = ["einsum_path", (0, 1, 2)]
+_WEIGHT_FIRST = ["einsum_path", (1, 2), (0, 1)]
 _CHUNK_ENTRIES = 1 << 17  # products held at once by _data_precision, 1 MB
 
 
@@ -70,6 +71,37 @@ def _data_precision(x: np.ndarray, W: np.ndarray) -> np.ndarray:
     return total.reshape(J, N, J, N)
 
 
+def _data_moment(x: np.ndarray, W: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum_t x_ta W_tij y_tj`` as a (J, N) array, with the bits of
+    ``np.einsum("ta,tij,tj->ai", x, W, y, optimize=True)``.
+
+    Where einsum's path contracts ``W`` with ``y`` first (every non-empty
+    sample unless N = p = 1), einsum runs that path as two matrix products;
+    they are called here directly, without einsum's parsing on every call.
+    Any other path goes to einsum.
+    """
+    subscripts = "ta,tij,tj->ai"
+    path = _contraction_path(subscripts, x.shape, W.shape, y.shape)
+    if path != _WEIGHT_FIRST:
+        return np.einsum(subscripts, x, W, y, optimize=path)
+    Wy = (y[:, None, :] @ W.transpose(0, 2, 1))[:, 0, :]  # (T, N)
+    return (Wy.T @ x).T
+
+
+def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``L L' x = b`` for a lower Cholesky factor ``L``.
+
+    This is the LAPACK call ``scipy.linalg.cho_solve((L, True), b)`` makes,
+    with the same checks and so the same bits, without its dispatch layers.
+    """
+    L = np.asarray_chkfinite(L)
+    b = np.asarray_chkfinite(b)
+    x, info = lapack.dpotrs(L, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
 def autoregressive_posterior(
     dataset: Dataset,
     B: np.ndarray,
@@ -92,14 +124,12 @@ def autoregressive_posterior(
     inv_sig = (1.0 / sigma2).T  # (T, N)
     W = np.einsum("tki,tk,tkj->tij", Bs, inv_sig, Bs)
     data_prec = _data_precision(dataset.x, W).reshape(J * N, J * N)
-    path = _contraction_path("ta,tij,tj->ai", dataset.x.shape, W.shape, dataset.y.shape)
-    rhs = np.einsum("ta,tij,tj->ai", dataset.x, W, dataset.y, optimize=path).reshape(-1)
+    rhs = _data_moment(dataset.x, W, dataset.y).reshape(-1)
 
     prec = data_prec + np.diag(prior_prec)
     rhs = rhs + prior_prec * prior_mean
     L = precision_cholesky(prec)
-    mean = linalg.cho_solve((L, True), rhs)
-    return mean.reshape(J, N).T, L
+    return _cholesky_solve(L, rhs).reshape(J, N).T, L
 
 
 def draw_autoregressive(

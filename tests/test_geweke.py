@@ -50,17 +50,35 @@ def test_harness_reports_finite_panel():
 
 
 def test_harness_restarts_each_batch_from_a_prior_draw(monkeypatch):
-    # one draw per prior-side cycle plus one fresh start per Gibbs-side run
-    calls = []
-    real_prior_draw = geweke.prior_draw
+    # one batch of a draw per prior-side cycle, then a fresh start of one
+    # draw per Gibbs-side run
+    sizes = []
+    real_prior_draws = geweke.prior_draws
 
-    def counting_prior_draw(*args, **kwargs):
-        calls.append(1)
-        return real_prior_draw(*args, **kwargs)
+    def counting_prior_draws(config, T, rng, n):
+        sizes.append(n)
+        return real_prior_draws(config, T, rng, n)
 
-    monkeypatch.setattr(geweke, "prior_draw", counting_prior_draw)
+    monkeypatch.setattr(geweke, "prior_draws", counting_prior_draws)
     geweke_joint_test(_config(), 400, np.random.default_rng(3), T=12, batches=20)
-    assert len(calls) == 400 + 20
+    assert sum(sizes) == 400 + 20
+    assert sizes == [400] + [1] * 20
+
+
+def test_prior_batch_has_the_moments_of_single_draws():
+    # a large batch and as many batches of one draw the same prior: the
+    # Geweke statistics' means agree within a z bound at a fixed seed
+    config, n = _config(), 4000
+    rng = np.random.default_rng(11)
+    batch = geweke._statistics(geweke.prior_draws(config, 30, rng, n), config)
+    singles = [geweke.prior_draws(config, 30, rng, 1) for _ in range(n)]
+    single = geweke._statistics(
+        {name: np.concatenate([d[name] for d in singles]) for name in singles[0]}, config
+    )
+    for name, a in batch.items():
+        b = single[name]
+        se = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(n)
+        assert abs(a.mean() - b.mean()) < 4.0 * se, name
 
 
 def test_harness_needs_a_period():

@@ -10,6 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, linalg, stats
 
+from mssvar.config import ModelConfig
+from mssvar.geweke import prior_draws
 from mssvar.priors import (
     ShrinkageChain,
     categorical,
@@ -414,14 +416,6 @@ def test_update_draws_every_equation_in_the_scalar_order():
     assert out.s.tobytes() == np.array(s).tobytes()
     assert out.s_gamma == s_gamma
 
-    got = ShrinkageChain.from_prior(3, np.random.default_rng(42), nu=5.0, nu_gamma=2.0,
-                                    s_s=4.0, nu_s=6.0)
-    rng = np.random.default_rng(42)
-    s_gamma = sample_ig2(4.0, 6.0, rng)
-    s = sample_gamma(2.0, s_gamma, rng, size=3)
-    gamma = [sample_ig2(si, 5.0, rng) for si in s]
-    assert got.s.tobytes() == s.tobytes()
-    assert got.gamma.tobytes() == np.array(gamma).tobytes()
 
 
 def test_shrinkage_chain_validates():
@@ -438,13 +432,10 @@ def test_shrinkage_chain_validates():
         update_shrinkage_chain(chain, np.array([-1.0, 0.0]), np.array([0.0, 0.0]), rng)
 
 
-def test_from_prior_matches_hierarchy():
+def test_prior_draws_match_the_shrinkage_hierarchy():
     # top-level scale distribution: s_gamma ~ IG2(s_s, nu_s)
-    rng = np.random.default_rng(29)
     n = 20_000
-    draws = np.array([
-        ShrinkageChain.from_prior(1, rng, nu=10.0, nu_gamma=10.0, s_s=9.0, nu_s=7.0).s_gamma
-        for _ in range(n)
-    ])
+    config = ModelConfig(N=1, nu_B=10.0, nu_gamma_B=10.0, s_s_B=9.0, nu_s_B=7.0)
+    draws = prior_draws(config, 0, np.random.default_rng(29), n)["s_gamma_B"]
     stat = _ks(draws, lambda x: stats.chi2.sf(9.0 / x, 7.0))
     assert stat < KS_SLOPE / np.sqrt(n)

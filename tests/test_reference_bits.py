@@ -2,19 +2,29 @@
 
 Each reference below is the earlier implementation, written out: the
 categories on the last axis, scipy's banded wrappers, an ``einsum`` that
-searches its path on every call, and ``np.ix_``.  The package's versions
+searches its path on every call, ``np.ix_``, ``cho_solve``, and the Geweke
+test's prior draw and statistics one draw at a time.  The package's versions
 must return the same bytes and leave the generator in the same state,
 since every stored draw, digest and Geweke z-score depends on both.
 """
+
+import operator
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import linalg
 
-from mssvar import regimes, structural, sv, var
+from mssvar import geweke, regimes, structural, sv, var
+from mssvar.config import ModelConfig
 from mssvar.data import Dataset
-from mssvar.priors import categorical, category_sum, sample_ig2
-from mssvar.simulate import follow, simulate_regimes
+from mssvar.engine import gibbs_sweep
+from mssvar.patterns import apply_pattern, build_pattern_set
+from mssvar.priors import ShrinkageChain, categorical, category_sum, sample_ig2
+from mssvar.selfcheck import GEWEKE_CONFIG
+from mssvar.simulate import follow, simulate_regimes, simulate_volatility
+from mssvar.state import BLOCKS, ParameterState
+from mssvar.store import allocate_store, record_draw
 
 SHAPES = [(N, T) for N in (1, 2, 3, 4) for T in (0, 1, 2, 30, 600)]
 
@@ -304,3 +314,157 @@ def test_ig2_rejects_nonpositive_arguments(s, nu):
     with pytest.raises(ValueError, match="IG2 requires positive scale and degrees of freedom"):
         sample_ig2(s, nu, rng)
     assert rng.bit_generator.state == state
+
+
+# ---------------------------------------------------------------------------
+# the Geweke test's prior draw and statistics, one draw at a time
+
+
+def ref_prior_draw(config, T, rng):
+    N, M = config.N, config.M
+
+    def chain(nu, nu_gamma, s_s, nu_s):
+        s_gamma = float(s_s / rng.chisquare(nu_s))
+        s = rng.gamma(nu_gamma, s_gamma, size=N)
+        gamma = s / rng.chisquare(nu, size=N)
+        return ShrinkageChain(gamma=gamma, s=s, s_gamma=s_gamma, nu=nu, nu_gamma=nu_gamma,
+                              s_s=s_s, nu_s=nu_s)
+
+    shrink_B = chain(config.nu_B, config.nu_gamma_B, config.s_s_B, config.nu_s_B)
+    shrink_A = chain(config.nu_A, config.nu_gamma_A, config.s_s_A, config.nu_s_A)
+    mean_rows, omega_diag = var.minnesota_moments(N, config.p, config.d_dim)
+    A = mean_rows + np.sqrt(shrink_A.gamma[:, None] * omega_diag[None, :]) * rng.standard_normal(
+        mean_rows.shape
+    )
+    alpha = np.ones((M, M)) + config.d_m * np.eye(M)
+    P = np.empty((M, M))
+    for m in range(M):
+        P[m] = rng.dirichlet(alpha[m])
+    pi0 = rng.dirichlet(1.0 + np.bincount(np.zeros(0, dtype=np.int64), minlength=M))
+    s = simulate_regimes(pi0, P, T, rng)
+    sigma2_omega = rng.gamma(config.omega_shape, config.omega_scale, size=N)
+    if config.fix_omega_at_zero:
+        omega = np.zeros((N, M))
+    else:
+        omega = np.sqrt(sigma2_omega)[:, None] * rng.standard_normal((N, M))
+    rho = -1.0 + 2.0 * rng.random(N)
+    h = simulate_volatility(rho, np.zeros(N), T, rng)
+    kappa = np.zeros((N, M), dtype=np.int64)
+    B = np.zeros((M, N, N))
+    for n in range(N):
+        K = config.patterns.K(n)
+        for m in range(M):
+            k = int(rng.integers(K)) if K > 1 else 0
+            kappa[n, m] = k
+            pat = config.patterns.equations[n][k]
+            b = np.sqrt(shrink_B.gamma[n]) * rng.standard_normal(pat.r)
+            B[m, n, :] = apply_pattern(b, pat)
+    return ParameterState(
+        A=A, B=B, kappa=kappa, s=s, P=P, pi0=pi0, h=h, omega=omega, rho=rho,
+        sigma2_omega=sigma2_omega, shrink_B=shrink_B, shrink_A=shrink_A,
+        omega_mean=np.zeros((N, M)), omega_var=np.tile(sigma2_omega[:, None], (1, M)),
+        logml=0.0,
+    )
+
+
+def ref_statistics(state, config):
+    stats = {}
+    N, M = config.N, config.M
+    for n in range(N):
+        for m in range(M):
+            w = float(state.omega[n, m])
+            stats[f"omega[{n},{m}]"] = w
+            stats[f"omega2[{n},{m}]"] = w * w
+            stats[f"omega_abs[{n},{m}]"] = abs(w)
+            stats[f"omega2rb[{n},{m}]"] = float(
+                state.omega_mean[n, m] ** 2 + state.omega_var[n, m]
+            )
+    stats["omega_abs_sum"] = float(np.abs(state.omega).sum())
+    stats["omega2_sum"] = float((state.omega ** 2).sum())
+    for n in range(N):
+        stats[f"gamma_B[{n}]"] = float(state.shrink_B.gamma[n])
+        stats[f"sigma2_omega[{n}]"] = float(state.sigma2_omega[n])
+    stats["gamma_A[0]"] = float(state.shrink_A.gamma[0])
+    stats["rho[0]"] = float(state.rho[0])
+    stats["P[0,0]"] = float(state.P[0, 0])
+    stats["pi0[0]"] = float(state.pi0[0])
+    stats["A[0,0]"] = float(state.A[0, 0])
+    stats["A2[0,0]"] = float(state.A[0, 0] ** 2)
+    stats["A[0,last]"] = float(state.A[0, -1])
+    b0 = float(state.B[0, 0, 0])
+    stats["Btanh[0,0,0]"] = float(np.tanh(b0))
+    stats["B2[0,0,0]"] = b0 * b0
+    for n in config.patterns.tvi_equations:
+        for m in range(M):
+            stats[f"kappa0[{n},{m}]"] = float(state.kappa[n, m] == 0)
+    stats["s_frac[0]"] = float(np.mean(state.s == 0))
+    stats["h_tanh[0,last]"] = float(np.tanh(state.h[0, -1]))
+    return stats
+
+
+GEWEKE_CASES = {
+    "selfcheck": GEWEKE_CONFIG,
+    "omega at zero": GEWEKE_CONFIG.with_updates(fix_omega_at_zero=True),
+    "N=3, four candidates": ModelConfig(
+        N=3, p=2, M=2, patterns=build_pattern_set({1: ["**0", "*0*", "0**", "***"]}, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GEWEKE_CASES)
+@pytest.mark.parametrize("T", [0, 1, 30])
+def test_prior_draw_matches_reference(case, T):
+    config = GEWEKE_CASES[case]
+    rng_new, rng_ref = np.random.default_rng(600 + T), np.random.default_rng(600 + T)
+    for _ in range(8):  # several draws visit several candidates
+        new, ref = geweke.prior_draw(config, T, rng_new), ref_prior_draw(config, T, rng_ref)
+        for blk in BLOCKS:
+            get = operator.attrgetter(blk.attr)
+            assert same_bits(get(new), get(ref)), blk.name
+            assert type(get(new)) is type(get(ref)), blk.name
+        for chain in ("shrink_B", "shrink_A"):
+            for hyper in ("nu", "nu_gamma", "s_s", "nu_s"):
+                assert getattr(getattr(new, chain), hyper) == getattr(getattr(ref, chain), hyper)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _draw_of(draws, i):
+    """Row i of stacked draws, with the attributes a ParameterState has."""
+    row = {name: value[i] for name, value in draws.items()}
+    return SimpleNamespace(shrink_B=SimpleNamespace(gamma=row["gamma_B"]),
+                           shrink_A=SimpleNamespace(gamma=row["gamma_A"]), **row)
+
+
+def _assert_statistics_match(new, refs):
+    assert list(new) == list(refs[0])
+    for name, values in new.items():
+        assert values.dtype == np.float64 and values.flags.c_contiguous
+        assert same_bits(values, np.array([ref[name] for ref in refs])), name
+
+
+@pytest.mark.parametrize("case", GEWEKE_CASES)
+def test_statistics_of_a_prior_batch_match_reference(case):
+    config = GEWEKE_CASES[case]
+    draws = geweke.prior_draws(config, 30, np.random.default_rng(61), 2000)
+    new = geweke._statistics(draws, config)
+    _assert_statistics_match(new, [ref_statistics(_draw_of(draws, i), config) for i in range(2000)])
+
+
+@pytest.mark.parametrize("case", GEWEKE_CASES)
+def test_statistics_of_recorded_cycles_match_reference(case):
+    # the Gibbs side records each cycle's state; its statistics must be the
+    # values the live state gives, with non-zero loading moments and paths
+    config = GEWEKE_CASES[case]
+    rng = np.random.default_rng(62)
+    T, cycles = 30, 40
+    presample = np.zeros((config.p, config.N))
+    state = geweke.prior_draw(config, T, rng)
+    data = geweke.simulate_given_state(state, config, presample, rng)
+    record = allocate_store(config, T, cycles)
+    refs = []
+    for i in range(cycles):
+        gibbs_sweep(state, data, config, rng)
+        data = geweke.simulate_given_state(state, config, presample, rng)
+        record_draw(record, i, state)
+        refs.append(ref_statistics(state, config))
+    _assert_statistics_match(geweke._statistics(record.blocks, config), refs)
