@@ -71,6 +71,14 @@ class ModelConfig:
     def n_coefficients(self) -> int:
         return self.N * self.p + self.d_dim
 
+    def shrinkage_priors(self) -> dict[str, dict[str, float]]:
+        """Hyperparameters of the structural (``B``) and autoregressive
+        (``A``) shrinkage chains as ``ShrinkageChain`` keyword arguments, in
+        the order the prior draws the chains."""
+        return {tag: {hyper: getattr(self, f"{hyper}_{tag}")
+                      for hyper in ("nu", "nu_gamma", "s_s", "nu_s")}
+                for tag in ("B", "A")}
+
     def transform_map(self) -> dict[str, ColumnTransform]:
         return {name: ColumnTransform.parse(tok) for name, tok in self.transforms}
 

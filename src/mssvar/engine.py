@@ -40,12 +40,7 @@ def initialize_state(config: ModelConfig, dataset: Dataset, rng: np.random.Gener
             row = apply_pattern(np.ones(pat.r), pat)
         B[:, n, :] = row
 
-    shrink_B = ShrinkageChain.at_prior_center(
-        N, nu=config.nu_B, nu_gamma=config.nu_gamma_B, s_s=config.s_s_B, nu_s=config.nu_s_B
-    )
-    shrink_A = ShrinkageChain.at_prior_center(
-        N, nu=config.nu_A, nu_gamma=config.nu_gamma_A, s_s=config.s_s_A, nu_s=config.nu_s_A
-    )
+    hyper = config.shrinkage_priors()
     return ParameterState(
         A=A,
         B=B,
@@ -59,8 +54,8 @@ def initialize_state(config: ModelConfig, dataset: Dataset, rng: np.random.Gener
         omega=np.zeros((N, M)) if config.fix_omega_at_zero else np.full((N, M), 0.1),
         rho=np.full(N, 0.5),
         sigma2_omega=np.ones(N) * config.omega_shape * config.omega_scale,
-        shrink_B=shrink_B,
-        shrink_A=shrink_A,
+        shrink_B=ShrinkageChain.at_prior_center(N, **hyper["B"]),
+        shrink_A=ShrinkageChain.at_prior_center(N, **hyper["A"]),
         omega_mean=np.zeros((N, M)),
         omega_var=np.ones((N, M)),
         logml=0.0,
@@ -68,14 +63,16 @@ def initialize_state(config: ModelConfig, dataset: Dataset, rng: np.random.Gener
 
 
 def gibbs_sweep(
-    state: ParameterState,
-    dataset: Dataset,
-    config: ModelConfig,
-    rng: np.random.Generator,
-    *,
-    omega_sd_inflation: float = 1.0,
+    state: ParameterState, dataset: Dataset, config: ModelConfig, rng: np.random.Generator
 ) -> ParameterState:
-    """One full pass over every conditional, updating the state in place."""
+    """One full pass over every conditional, updating the state in place.
+
+    The samplers of ``regimes``, ``sv``, ``structural`` and ``var`` are
+    called through their modules, so a mutation test can corrupt one
+    conditional by substituting a module attribute while it runs, such as
+    ``functools.partial(sv.draw_omega, sd_inflation=2 ** 0.5)`` for
+    ``sv.draw_omega``.
+    """
     N, M, T = config.N, config.M, dataset.T
     pats = config.patterns
     eps = dataset.y - dataset.x @ state.A.T  # (T, N)
@@ -118,8 +115,7 @@ def gibbs_sweep(
             state.sigma2_omega[n] = sample_gamma(config.omega_shape, config.omega_scale, rng)
         else:
             omega_n, mean_n, var_n = sv.draw_omega(
-                state.h[n], ytil[n], v[n], s, M,
-                state.sigma2_omega[n], rng, sd_inflation=omega_sd_inflation,
+                state.h[n], ytil[n], v[n], s, M, state.sigma2_omega[n], rng
             )
             state.omega[n] = omega_n
             state.omega_mean[n] = mean_n

@@ -17,6 +17,12 @@ the Gibbs side's starts consume the generator as a single draw does.  The
 Gibbs side records each cycle's state in a draw store, and ``_statistics``
 takes the stacked draws of either side, with the bits of the statistics of
 one draw taken alone.
+
+The test has power only if it fails a broken sampler.  A mutation test
+corrupts one conditional on the Gibbs side by substituting its module
+attribute while the test runs, for example
+``functools.partial(sv.draw_omega, sd_inflation=2 ** 0.5)`` for
+``sv.draw_omega``; the prior side never calls the sweep.
 """
 
 from __future__ import annotations
@@ -32,18 +38,9 @@ from .data import Dataset, build_design
 from .engine import gibbs_sweep
 from .priors import ShrinkageChain, category_sum, sample_gamma, sample_ig2
 from .simulate import DgpTruth, simulate_observations, simulate_regimes, simulate_volatility
-from .state import ParameterState
+from .state import BLOCKS, ParameterState
 from .store import allocate_store, record_draw
 from .var import minnesota_moments
-
-
-def _shrinkage_priors(config: ModelConfig) -> dict[str, dict[str, float]]:
-    """Hyperparameters of the structural (``B``) and autoregressive (``A``)
-    shrinkage chains, in the order they are drawn."""
-    return {
-        "B": dict(nu=config.nu_B, nu_gamma=config.nu_gamma_B, s_s=config.s_s_B, nu_s=config.nu_s_B),
-        "A": dict(nu=config.nu_A, nu_gamma=config.nu_gamma_A, s_s=config.s_s_A, nu_s=config.nu_s_A),
-    }
 
 
 def prior_draws(
@@ -63,7 +60,7 @@ def prior_draws(
     """
     N, M = config.N, config.M
     draws: dict[str, np.ndarray] = {}
-    for tag, hyper in _shrinkage_priors(config).items():
+    for tag, hyper in config.shrinkage_priors().items():
         s_gamma = sample_ig2(hyper["s_s"], hyper["nu_s"], rng, size=n)
         # a unit-scale variate times the scale is numpy's gamma draw, bit for bit
         s = s_gamma[:, None] * sample_gamma(hyper["nu_gamma"], 1.0, rng, size=(n, N))
@@ -89,18 +86,15 @@ def prior_draws(
     B = np.zeros((n, M, N, N))
     root_gamma = np.sqrt(draws["gamma_B"])
     for eq, candidates in enumerate(config.patterns.equations):
-        r = np.array([pat.r for pat in candidates])
+        masks = np.array([pat.mask for pat in candidates])
         for m in range(M):
             if len(candidates) > 1:
                 kappa[:, eq, m] = rng.integers(len(candidates), size=n)
-            sizes = r[kappa[:, eq, m]]
-            start = np.cumsum(sizes) - sizes  # each state's share of the flat draw
-            z = rng.standard_normal(int(sizes.sum()))
-            for k, pat in enumerate(candidates):
-                sel = np.flatnonzero(kappa[:, eq, m] == k)
-                B[sel[:, None], m, eq, pat.free_idx] = (
-                    root_gamma[sel, eq, None] * z[start[sel, None] + np.arange(pat.r)]
-                )
+            free = masks[kappa[:, eq, m]]
+            # a boolean mask fills state by state, each in column order: the
+            # order of the states' free coefficients in the flat draw
+            z = rng.standard_normal(int(free.sum()))
+            B[:, m, eq][free] = np.repeat(root_gamma[:, eq], free.sum(axis=1)) * z
     draws["kappa"], draws["B"] = kappa, B
     draws["omega_mean"] = np.zeros((n, N, M))
     draws["omega_var"] = np.repeat(sigma2_omega[:, :, None], M, axis=2)
@@ -108,21 +102,19 @@ def prior_draws(
     return draws
 
 
-# the blocks that are ParameterState fields of the same name
-_STATE_ARRAYS = ("A", "B", "kappa", "s", "P", "pi0", "h", "omega", "rho", "sigma2_omega",
-                 "omega_mean", "omega_var")
-
-
 def prior_draw(config: ModelConfig, T: int, rng: np.random.Generator) -> ParameterState:
     """One ancestral draw of every unknown: ``prior_draws`` with n = 1."""
-    first = {name: value[0] for name, value in prior_draws(config, T, rng, 1).items()}
-    chains = {
-        tag: ShrinkageChain(gamma=first[f"gamma_{tag}"], s=first[f"s_{tag}"],
-                            s_gamma=float(first[f"s_gamma_{tag}"]), **hyper)
-        for tag, hyper in _shrinkage_priors(config).items()
-    }
-    return ParameterState(**{name: first[name] for name in _STATE_ARRAYS},
-                          shrink_B=chains["B"], shrink_A=chains["A"])
+    draws = prior_draws(config, T, rng, 1)
+    # keyword arguments by owner: "" for the state, then one per shrinkage
+    # chain, which also takes its hyperparameters
+    parts = {"": {}, **{f"shrink_{tag}": dict(hyper)
+                        for tag, hyper in config.shrinkage_priors().items()}}
+    for blk in BLOCKS:
+        value = draws[blk.name][0]
+        owner, _, attr = blk.attr.rpartition(".")
+        parts[owner][attr] = value if blk.dims else float(value)
+    fields = parts.pop("")
+    return ParameterState(**fields, **{name: ShrinkageChain(**kw) for name, kw in parts.items()})
 
 
 def simulate_given_state(
@@ -221,7 +213,6 @@ def geweke_joint_test(
     rng: np.random.Generator,
     *,
     T: int = 30,
-    omega_sd_inflation: float = 1.0,
     batches: int = 50,
 ) -> GewekeResult:
     """Run both simulators and compare moments.
@@ -231,9 +222,7 @@ def geweke_joint_test(
     independent successive-conditional runs of ``iterations // batches``
     cycles, each started from a fresh exact joint draw of parameters and
     data; its standard error comes from the spread of the run means, which
-    stays valid however slowly a single run mixes.  ``omega_sd_inflation``
-    corrupts the loadings draw on the Gibbs side only, for mutation
-    testing.
+    stays valid however slowly a single run mixes.
     """
     if not 1 <= batches <= iterations:
         raise ValueError(f"need 1 <= batches <= iterations, got {batches} and {iterations}")
@@ -250,7 +239,7 @@ def geweke_joint_test(
         state = prior_draw(config, T, rng_sc)
         data = simulate_given_state(state, config, presample, rng_sc)
         for cycle in range(cycles):
-            gibbs_sweep(state, data, config, rng_sc, omega_sd_inflation=omega_sd_inflation)
+            gibbs_sweep(state, data, config, rng_sc)
             data = simulate_given_state(state, config, presample, rng_sc)
             record_draw(record, run * cycles + cycle, state)
     gibbs_side = _statistics(record.blocks, config)

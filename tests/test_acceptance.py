@@ -10,6 +10,7 @@ reproducibility, and the desk-scale runtime envelope.  Every seed is
 pinned; every tolerance is stated next to its assertion.
 """
 
+import functools
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from mssvar import analytics, forecast, regimes
+from mssvar import analytics, forecast, regimes, sv
 from mssvar.config import ModelConfig
 from mssvar.data import build_design, empty_dataset
 from mssvar.engine import run_chain
@@ -89,7 +90,7 @@ def test_criterion_02_ffbs_matches_enumeration():
 # ---------------------------------------------------------------------------
 # 3. joint-distribution test of the full sweep
 
-def test_criterion_03_geweke_joint_distribution():
+def test_criterion_03_geweke_joint_distribution(monkeypatch):
     t0 = time.perf_counter()
     clean = geweke_joint_test(GEWEKE_CONFIG, 20_000, np.random.default_rng(7), T=30)
     monitored = ("omega[0,0]", "omega2[0,0]", "gamma_B[0]", "gamma_A[0]",
@@ -97,8 +98,10 @@ def test_criterion_03_geweke_joint_distribution():
     assert all(k in clean.z_scores for k in monitored)
     assert clean.max_abs_z < 4.0
 
-    mutated = geweke_joint_test(GEWEKE_CONFIG, 20_000, np.random.default_rng(404), T=30,
-                                omega_sd_inflation=np.sqrt(2.0))
+    # the Gibbs side's loadings draw, with its standard deviation widened
+    monkeypatch.setattr(sv, "draw_omega",
+                        functools.partial(sv.draw_omega, sd_inflation=np.sqrt(2.0)))
+    mutated = geweke_joint_test(GEWEKE_CONFIG, 20_000, np.random.default_rng(404), T=30)
     # pooled spread stats and the loadings-variance posterior carry the
     # most power; every per-entry second moment must also move
     strong = ("omega_abs_sum", "omega2_sum", "sigma2_omega[0]", "sigma2_omega[1]")

@@ -2,8 +2,9 @@
 
 Each reference below is the earlier implementation, written out: the
 categories on the last axis, scipy's banded wrappers, an ``einsum`` that
-searches its path on every call, ``np.ix_``, ``cho_solve``, and the Geweke
-test's prior draw and statistics one draw at a time.  The package's versions
+searches its path on every call, ``np.ix_``, ``cho_solve``, the Geweke
+test's prior draw and statistics one draw at a time, and its batched prior
+draws with a scatter per candidate.  The package's versions
 must return the same bytes and leave the generator in the same state,
 since every stored draw, digest and Geweke z-score depends on both.
 """
@@ -20,7 +21,9 @@ from mssvar.config import ModelConfig
 from mssvar.data import Dataset
 from mssvar.engine import gibbs_sweep
 from mssvar.patterns import apply_pattern, build_pattern_set
-from mssvar.priors import ShrinkageChain, categorical, category_sum, sample_ig2
+from mssvar.priors import (
+    ShrinkageChain, categorical, category_sum, sample_gamma, sample_ig2,
+)
 from mssvar.selfcheck import GEWEKE_CONFIG
 from mssvar.simulate import follow, simulate_regimes, simulate_volatility
 from mssvar.state import BLOCKS, ParameterState
@@ -427,6 +430,68 @@ def test_prior_draw_matches_reference(case, T):
                 assert getattr(getattr(new, chain), hyper) == getattr(getattr(ref, chain), hyper)
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
+
+
+def ref_prior_draws(config, T, rng, n):
+    N, M = config.N, config.M
+    draws = {}
+    for tag in ("B", "A"):
+        nu, nu_gamma, s_s, nu_s = (getattr(config, f"{hyper}_{tag}")
+                                   for hyper in ("nu", "nu_gamma", "s_s", "nu_s"))
+        s_gamma = sample_ig2(s_s, nu_s, rng, size=n)
+        s = s_gamma[:, None] * sample_gamma(nu_gamma, 1.0, rng, size=(n, N))
+        draws[f"gamma_{tag}"] = sample_ig2(s, nu, rng, size=(n, N))
+        draws[f"s_{tag}"], draws[f"s_gamma_{tag}"] = s, s_gamma
+    mean_rows, omega_diag = var.minnesota_moments(N, config.p, config.d_dim)
+    draws["A"] = mean_rows + np.sqrt(
+        draws["gamma_A"][:, :, None] * omega_diag[None, None, :]
+    ) * rng.standard_normal((n, *mean_rows.shape))
+    alpha = regimes.transition_posterior_alpha(np.zeros(0, dtype=np.int64), M, config.d_m)
+    draws["P"] = np.stack([rng.dirichlet(alpha[m], size=n) for m in range(M)], axis=1)
+    draws["pi0"] = rng.dirichlet(np.ones(M), size=n)
+    draws["s"] = simulate_regimes(draws["pi0"], draws["P"], T, rng)
+    sigma2_omega = sample_gamma(config.omega_shape, config.omega_scale, rng, size=(n, N))
+    if config.fix_omega_at_zero:
+        omega = np.zeros((n, N, M))
+    else:
+        omega = np.sqrt(sigma2_omega)[:, :, None] * rng.standard_normal((n, N, M))
+    draws["sigma2_omega"], draws["omega"] = sigma2_omega, omega
+    draws["rho"] = -1.0 + 2.0 * rng.random((n, N))
+    draws["h"] = simulate_volatility(draws["rho"], np.zeros(N), T, rng)
+    kappa = np.zeros((n, N, M), dtype=np.int64)
+    B = np.zeros((n, M, N, N))
+    root_gamma = np.sqrt(draws["gamma_B"])
+    for eq, candidates in enumerate(config.patterns.equations):
+        r = np.array([pat.r for pat in candidates])
+        for m in range(M):
+            if len(candidates) > 1:
+                kappa[:, eq, m] = rng.integers(len(candidates), size=n)
+            sizes = r[kappa[:, eq, m]]
+            start = np.cumsum(sizes) - sizes
+            z = rng.standard_normal(int(sizes.sum()))
+            for k, pat in enumerate(candidates):
+                sel = np.flatnonzero(kappa[:, eq, m] == k)
+                B[sel[:, None], m, eq, pat.free_idx] = (
+                    root_gamma[sel, eq, None] * z[start[sel, None] + np.arange(pat.r)]
+                )
+    draws["kappa"], draws["B"] = kappa, B
+    draws["omega_mean"] = np.zeros((n, N, M))
+    draws["omega_var"] = np.repeat(sigma2_omega[:, :, None], M, axis=2)
+    draws["logml"] = np.zeros(n)
+    return draws
+
+
+@pytest.mark.parametrize("case", GEWEKE_CASES)
+@pytest.mark.parametrize("T", [0, 1, 30])
+@pytest.mark.parametrize("n", [1, 7, 2000])
+def test_prior_draws_match_reference(case, T, n):
+    config = GEWEKE_CASES[case]
+    rng_new, rng_ref = np.random.default_rng(700 + T), np.random.default_rng(700 + T)
+    new, ref = geweke.prior_draws(config, T, rng_new, n), ref_prior_draws(config, T, rng_ref, n)
+    assert list(new) == list(ref)
+    for name in ref:
+        assert same_bits(new[name], ref[name]), name
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 def _draw_of(draws, i):
     """Row i of stacked draws, with the attributes a ParameterState has."""
